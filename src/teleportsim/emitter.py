@@ -1,13 +1,14 @@
 """Driven three-level emitter: photon-number statistics and emission timing.
 
 The optically driven transition |0> <-> |e> decays at rate gamma; a photon
-emission drops the system into a one-photon manifold that is re-driven by the
-same pulse, and a second emission ends in a dark two-photon state.  More than
-two emissions are neglected.  The master equation over the basis
-{|0>, |e>, |0,1p>, |e,1p>, |0,2p>} yields the probabilities P0/P1/P2 of
-emitting zero, one or two photons per attempt, and a propagator decomposition
-of the same dynamics yields the emission-time densities needed to split
-photons over detection windows.
+emission drops the system back into |0>, where the same pulse can re-excite
+it, and a second emission ends the attempt.  More than two emissions are
+neglected.  Between emissions the emitter evolves under the no-jump
+propagator U(t) of the two-level generator A = [[0, -i Omega], [-i Omega,
+-gamma/2]]: exact in closed form for square pulses, chained from exact steps
+at midpoint amplitude for gaussian ones.  U alone gives the probabilities
+P0/P1/P2 of emitting zero, one or two photons per attempt and the
+emission-time densities needed to split photons over detection windows.
 
 Time is in nanoseconds, rates in 1/ns.
 """
@@ -106,96 +107,93 @@ def _check_step(pulse: PulseShape, params: EmitterParams, grid: TimeGrid) -> Non
         raise EmitterError("pulse extends beyond the simulated horizon")
 
 
-def _master_equation_populations(
-    pulse: PulseShape, params: EmitterParams, grid: TimeGrid
-) -> tuple[float, float, float, float]:
-    """Integrate the five-level master equation starting from |0>.
+def _step_exponential(
+    omega: np.ndarray | float, gamma: float, tau: np.ndarray | float
+) -> np.ndarray:
+    """exp(A tau) for the no-jump generator A = [[0, -i om], [-i om, -gamma/2]].
 
-    Returns (P0, P1, P2, trace_error) where the populations are read off the
-    final state and trace_error is max |tr rho(t) - 1| over the grid.
+    A = -gamma/4 + B with B^2 = -nu^2, nu = sqrt(om^2 - gamma^2/16), so
+    exp(A tau) = exp(-gamma tau/4) (cos(nu tau) + B sin(nu tau)/nu); a complex
+    nu covers the overdamped side and sinc the limit nu -> 0.  Broadcasts over
+    ``omega`` and ``tau``; returns shape (..., 2, 2).
     """
-    g = params.gamma
-    d = 5  # basis order: 0, e, 0+1p, e+1p, 0+2p
-    l1 = np.zeros((d, d), dtype=complex)
-    l1[2, 1] = np.sqrt(g)
-    l2 = np.zeros((d, d), dtype=complex)
-    l2[4, 3] = np.sqrt(g)
-    jumps = (l1, l2)
-    decay = sum(l.conj().T @ l for l in jumps)
-
-    def h_of(om: float) -> np.ndarray:
-        h = np.zeros((d, d), dtype=complex)
-        h[1, 0] = h[0, 1] = om
-        h[3, 2] = h[2, 3] = om
-        return h
-
-    def rhs(rho: np.ndarray, om: float) -> np.ndarray:
-        h = h_of(om)
-        out = -1j * (h @ rho - rho @ h)
-        for l in jumps:
-            out += l @ rho @ l.conj().T
-        out -= 0.5 * (decay @ rho + rho @ decay)
-        return out
-
-    rho = np.zeros((d, d), dtype=complex)
-    rho[0, 0] = 1.0
-    t = grid.times
-    # Integrate numerically only while the drive is on; afterwards the excited
-    # populations decay into their photon-number sinks in closed form.
-    n_pulse = min(int(np.ceil(pulse.end_ns / grid.dt + 0.5)), len(t) - 1)
-    om_full = np.asarray(pulse.amplitude(t[: n_pulse + 1]))
-    om_half = np.asarray(pulse.amplitude(t[:n_pulse] + 0.5 * grid.dt))
-    dt = grid.dt
-    trace_err = 0.0
-    for k in range(n_pulse):
-        k1 = rhs(rho, om_full[k])
-        k2 = rhs(rho + 0.5 * dt * k1, om_half[k])
-        k3 = rhs(rho + 0.5 * dt * k2, om_half[k])
-        k4 = rhs(rho + dt * k3, om_full[k + 1])
-        rho = rho + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        trace_err = max(trace_err, abs(np.trace(rho).real - 1.0))
-    pops = np.real(np.diag(rho))
-    # |e> empties into |0,1p>, |e,1p> into |0,2p>; only the part still excited
-    # at the horizon is unaccounted for.
-    residual_excited = (pops[1] + pops[3]) * np.exp(-g * (t[-1] - t[n_pulse]))
-    p0 = pops[0]
-    p1 = pops[2] + pops[1]
-    p2 = pops[4] + pops[3]
-    return float(p0), float(p1), float(p2), max(trace_err, residual_excited)
+    omega, tau = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(tau, dtype=float))
+    nu = np.sqrt(omega.astype(complex) ** 2 - gamma**2 / 16.0)
+    damp = np.exp(-0.25 * gamma * tau)
+    c = damp * np.cos(nu * tau)
+    s = damp * tau * np.sinc(nu * tau / np.pi)  # damp * sin(nu tau) / nu
+    out = np.empty(omega.shape + (2, 2), dtype=complex)
+    out[..., 0, 0] = c + 0.25 * gamma * s
+    out[..., 0, 1] = out[..., 1, 0] = -1j * omega * s
+    out[..., 1, 1] = c - 0.25 * gamma * s
+    return out
 
 
-def _propagators(pulse: PulseShape, params: EmitterParams, grid: TimeGrid) -> np.ndarray:
-    """Non-unitary two-level propagators U(t_k) under the no-jump Hamiltonian."""
-    t = grid.times
-    dt = grid.dt
-    g = params.gamma
-    n_pulse = min(int(np.ceil(pulse.end_ns / dt + 0.5)), len(t) - 1)
-    om_full = np.asarray(pulse.amplitude(t[: n_pulse + 1]))
-    om_half = np.asarray(pulse.amplitude(t[:n_pulse] + 0.5 * dt))
+def _pulse_index(pulse: PulseShape, t: np.ndarray) -> int:
+    """Index of the first time on the uniform grid ``t`` at or after the pulse end."""
+    return min(int(np.ceil(pulse.end_ns / (t[1] - t[0]) - 1e-9)), len(t) - 1)
 
-    def gen(om: float) -> np.ndarray:
-        # -i H_eff with H_eff = om (|e><0| + h.c.) - i g/2 |e><e|
-        return np.array([[0.0, -1j * om], [-1j * om, -0.5 * g]], dtype=complex)
 
+def _propagators(pulse: PulseShape, gamma: float, t: np.ndarray) -> np.ndarray:
+    """No-jump propagators U(t_k) from time 0 on the uniform grid prefix ``t``.
+
+    Square pulses are exact: U(t) = D(t - end) exp(A tau) D(min(t, start)) with
+    tau the driven time and D(s) = diag(1, exp(-gamma s/2)) the free decay.
+    Gaussian pulses chain the step exponential at each step's midpoint
+    amplitude.  Once the drive is off, U decays freely in closed form.
+    """
+    n_on = _pulse_index(pulse, t)
     us = np.empty((len(t), 2, 2), dtype=complex)
-    u = np.eye(2, dtype=complex)
-    us[0] = u
-    for k in range(n_pulse):
-        a1 = gen(om_full[k])
-        a2 = gen(om_half[k])
-        a4 = gen(om_full[k + 1])
-        k1 = a1 @ u
-        k2 = a2 @ (u + 0.5 * dt * k1)
-        k3 = a2 @ (u + 0.5 * dt * k2)
-        k4 = a4 @ (u + dt * k3)
-        u = u + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)
-        us[k + 1] = u
-    # Drive off: U(t) = diag(1, exp(-g (t - t_p)/2)) U(t_p), in closed form.
-    tail = t[n_pulse:] - t[n_pulse]
-    decay = np.exp(-0.5 * g * tail)
-    us[n_pulse:, 0, :] = us[n_pulse, 0, :][None, :]
-    us[n_pulse:, 1, :] = decay[:, None] * us[n_pulse, 1, :][None, :]
+    if pulse.kind == "square":
+        on = t[: n_on + 1]
+        tau = np.clip(on - pulse.start_ns, 0.0, pulse.duration_ns)
+        us[: n_on + 1] = _step_exponential(pulse.omega_max, gamma, tau)
+        us[: n_on + 1, :, 1] *= np.exp(-0.5 * gamma * np.minimum(on, pulse.start_ns))[:, None]
+        us[: n_on + 1, 1, :] *= np.exp(-0.5 * gamma * np.maximum(on - pulse.end_ns, 0.0))[:, None]
+    else:
+        dt = t[1] - t[0]
+        steps = _step_exponential(pulse.amplitude(t[:n_on] + 0.5 * dt), gamma, dt)
+        us[0] = np.eye(2)
+        for k in range(n_on):
+            us[k + 1] = steps[k] @ us[k]
+    us[n_on:] = us[n_on]
+    us[n_on:, 1, :] *= np.exp(-0.5 * gamma * (t[n_on:] - t[n_on]))[:, None]
     return us
+
+
+def _jump_vectors(us: np.ndarray, gamma: float, t: np.ndarray) -> np.ndarray:
+    """v(t) = U(t)^{-1} |0> from the adjugate, using det U(t) = exp(-gamma t/2)."""
+    return np.exp(0.5 * gamma * t)[:, None] * np.stack((us[:, 1, 1], -us[:, 1, 0]), axis=1)
+
+
+def _pulse_populations(
+    pulse: PulseShape, params: EmitterParams, grid: TimeGrid
+) -> tuple[float, float]:
+    """(P0, P2) of one excitation attempt; P1 = 1 - P0 - P2.
+
+    P0 = |<0|U(T)|0>|^2 and P2 = sum_k w1(t_k) (1 - survive(t_k)) w_k, the
+    first-emission density times the chance of a second emission by the
+    horizon T, on the trapezoid rule.  After a first emission the emitter is
+    back in |0>, so only first emissions while the drive is on can be
+    followed by a second: the sum runs over the pulse interval and the free
+    decay up to T enters in closed form.  Raises if more than 1e-6 of the
+    population is still excited at T.
+    """
+    _check_step(pulse, params, grid)
+    g = params.gamma
+    t = grid.times[: _pulse_index(pulse, grid.times) + 1]
+    us = _propagators(pulse, g, t)
+    w1 = g * np.abs(us[:, 1, 0]) ** 2
+    chi = np.einsum("ij,kj->ki", us[-1], _jump_vectors(us, g, t))
+    tail = np.exp(-g * (grid.times[-1] - t[-1]))  # share of |e> at t[-1] still excited at T
+    survive = np.abs(chi[:, 0]) ** 2 + tail * np.abs(chi[:, 1]) ** 2
+    # The last point, at or after the pulse end, has chi = |0> and adds nothing.
+    w = _trapezoid_weights(t)
+    p2 = float(np.sum(w1 * (1.0 - survive) * w))
+    residual = tail * float(np.abs(us[-1, 1, 0]) ** 2 + np.sum(w1 * np.abs(chi[:, 1]) ** 2 * w))
+    if residual > 1e-6:
+        raise EmitterError(f"excited population {residual:.2e} left at the horizon exceeds 1e-6")
+    return float(np.abs(us[-1, 0, 0]) ** 2), p2
 
 
 @dataclass(frozen=True)
@@ -288,36 +286,29 @@ def solve_emission(
 ) -> EmissionProbabilities:
     """Emission statistics of one excitation attempt, starting in |0>.
 
-    Integrates the master equation for the photon-number probabilities and the
-    no-jump propagator for the emission-time densities; the two agree by
-    construction and the master-equation trace is monitored to 1e-6.
+    Everything follows from the no-jump propagator U(t) of the driven
+    two-level system: the photon-number probabilities from
+    :func:`_pulse_populations`, and on the full grid the first-emission
+    density w1 = gamma |<e|U(t)|0>|^2, the survival after a first emission
+    and the second-emission density.  Two guards hold to 1e-6: the excited
+    population left at the horizon, and the trapezoid sum of w1 against the
+    exact emission probability 1 - |U(T)|0>|^2.
     """
     grid = grid or TimeGrid()
-    _check_step(pulse, params, grid)
-    p0, p1, p2, err = _master_equation_populations(pulse, params, grid)
-    if err > 1e-6:
-        raise EmitterError(f"master equation trace/residual error {err:.2e} exceeds 1e-6")
-    # RK4 does not preserve positivity; populations may undershoot zero within
-    # the integrator's truncation error, which scales as (|H| dt)^4.
-    neg_tol = max(1e-9, 20.0 * (pulse.omega_max * grid.dt) ** 4)
-    pops = np.array([p0, p1, p2])
-    if pops.min() < -neg_tol:
-        raise EmitterError(f"negative emission probability {pops.min():.2e}")
-    pops = np.clip(pops, 0.0, None)
-    p0, p1, p2 = pops / pops.sum()
-
-    us = _propagators(pulse, params, grid)
+    p0, p2 = _pulse_populations(pulse, params, grid)
     t = grid.times
     g = params.gamma
-    psi = us[:, :, 0]  # U(t)|0>
-    w1 = g * np.abs(psi[:, 1]) ** 2
+    us = _propagators(pulse, g, t)
+    w1 = g * np.abs(us[:, 1, 0]) ** 2
+    weights = _trapezoid_weights(t)
+    quadrature = abs(np.sum(w1 * weights) - (1.0 - np.sum(np.abs(us[-1, :, 0]) ** 2)))
+    if quadrature > 1e-6:
+        raise EmitterError(f"first-emission quadrature residual {quadrature:.2e} exceeds 1e-6")
     m = us[:, 1, :]  # <e| U(t)
     flux = g * np.einsum("ki,kj->kij", m.conj(), m)
     a = np.zeros_like(flux)
     a[1:] = np.cumsum(0.5 * (flux[1:] + flux[:-1]) * grid.dt, axis=0)
-    rhs_e0 = np.zeros((len(t), 2, 1), dtype=complex)
-    rhs_e0[:, 0, 0] = 1.0
-    v = np.linalg.solve(us, rhs_e0)[:, :, 0]
+    v = _jump_vectors(us, g, t)
     chi_end = np.einsum("ij,kj->ki", us[-1], v)
     survive = np.abs(chi_end[:, 0]) ** 2 + np.abs(chi_end[:, 1]) ** 2
     sol = EmissionSolution(t, pulse.end_ns, w1, survive, v, a)
@@ -328,12 +319,13 @@ def solve_emission(
     #         = tr[ G(t) S(t) ],  S(t) = int_0^t w1 v v^dag,  G = gamma M^dag M,
     # so a prefix sum over rank-one outer products suffices (the t1 = t term
     # vanishes because U(t) v(t) = |0> has no excited component).
-    weights = _trapezoid_weights(t)
     outer = (w1 * weights)[:, None, None] * np.einsum("ki,kj->kij", v, v.conj())
     s_prefix = np.cumsum(outer, axis=0)
     second_density = np.real(np.einsum("kij,kji->k", flux, s_prefix))
     second_density = np.clip(second_density, 0.0, None)
-    return EmissionProbabilities(p0, p1, p2, t, first_density, second_density, pulse.end_ns, sol)
+    return EmissionProbabilities(
+        p0, 1.0 - p0 - p2, p2, t, first_density, second_density, pulse.end_ns, sol
+    )
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
@@ -527,7 +519,7 @@ def calibrate_pulse(
         return PulseShape(template.kind, om, template.duration_ns, template.start_ns)
 
     def p2_of(om: float) -> float:
-        return solve_emission(pulse_at(om), params, grid).p2
+        return _pulse_populations(pulse_at(om), params, grid)[1]
 
     om_lo = 0.8 * np.pi / area_scale
     om_hi = 1.2 * np.pi / area_scale
@@ -551,7 +543,7 @@ def calibrate_pulse(
         else:
             om_hi = om_mid
     pulse = pulse_at(0.5 * (om_lo + om_hi))
-    achieved = solve_emission(pulse, params, grid).p2
+    achieved = p2_of(pulse.omega_max)
     if abs(achieved - target_p2) > tol:
         raise EmitterError(f"calibration failed: P2={achieved:.5f} vs target {target_p2}")
     return pulse

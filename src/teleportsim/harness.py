@@ -324,12 +324,12 @@ def _monte_carlo_results(scenario: Scenario) -> dict:
         vals = np.asarray(sums[s])
         fidelities[s] = float(vals.mean()) if len(vals) else float("nan")
         errors[s] = float(vals.std(ddof=1) / math.sqrt(len(vals))) if len(vals) > 1 else float("nan")
-    accepted = sum(len(v) for v in sums.values())
-    merged = np.concatenate([np.asarray(sums[s]) for s in states if sums[s]])
+    merged = [f for s in states for f in sums[s]]
+    accepted = len(merged)
     return {
         "fidelities": fidelities,
         "fidelity_errors": errors,
-        "average_fidelity": float(merged.mean()) if accepted else float("nan"),
+        "average_fidelity": float(np.mean(merged)) if accepted else float("nan"),
         "accepted_shots": accepted,
         "total_shots": scenario.shots,
         "accept_probability": accepted / scenario.shots,

@@ -108,8 +108,8 @@ def build_link(cfg: LinkConfig, window_ns: float | None = None) -> photonics.Lin
     ``window_ns`` overrides the detection window; the visibility then follows
     the per-window table.  Efficiencies are always calibrated against the
     detection probabilities at the reference window (the one the experiment
-    quotes), so shorter windows genuinely lose photons.  Results are cacheders
-    (construction costs a second).
+    quotes), so shorter windows genuinely lose photons.  Results are cached
+    per (configuration, window).
     """
     window = cfg.window_ns if window_ns is None else window_ns
     key = (cfg, window)

@@ -3,6 +3,7 @@ import pytest
 
 from teleportsim import emitter as em
 
+from .oracles.master_equation import master_equation_populations
 from .oracles.trajectories import simulate_jumps
 
 GAMMA = 1.0 / 12.0
@@ -69,6 +70,42 @@ def test_step_size_precondition():
     params = em.EmitterParams(gamma=GAMMA, alpha=0.5)
     with pytest.raises(em.EmitterError):
         em.solve_emission(em.PulseShape("square", 20.0, 2.0), params, em.TimeGrid(dt=0.01))
+
+
+def test_too_short_horizon_rejected(params):
+    # A 5 ns pi pulse leaves about 12 % of the population excited 25 ns later.
+    with pytest.raises(em.EmitterError, match="horizon"):
+        em.solve_emission(
+            em.PulseShape("square", np.pi / 10.0, 5.0), params, em.TimeGrid(horizon=30)
+        )
+
+
+@pytest.mark.parametrize(
+    "pulse",
+    [
+        em.PulseShape("square", np.pi / 4.0, 2.0),
+        em.PulseShape("square", 0.3447, 5.0),
+        em.PulseShape("square", 0.3011, 6.0),
+        em.PulseShape("square", 0.0, 2.0),
+        em.PulseShape("gaussian", 0.6, 5.0),
+    ],
+    ids=["pi-2ns", "ab-5ns", "bc-6ns", "no-drive", "gaussian"],
+)
+def test_master_equation_oracle_populations(pulse, params, grid):
+    # The five-level master equation, driven piecewise constant at each
+    # step's midpoint amplitude, against the propagator populations.
+    sol = em.solve_emission(pulse, params, grid)
+    want = master_equation_populations(
+        pulse.amplitude, pulse.end_ns, GAMMA, grid.dt, grid.horizon
+    )
+    assert (sol.p0, sol.p1, sol.p2) == pytest.approx(want, abs=1e-6)
+    # The calibration helper sums second emissions over the pulse only; the
+    # same sum over the full grid adds nothing.
+    p0, p2 = em._pulse_populations(pulse, params, grid)
+    assert (p0, p2) == pytest.approx((sol.p0, sol.p2), abs=1e-12)
+    s = sol.solution
+    full = np.sum(s.first_rate * (1.0 - s.survive_after_first) * em._trapezoid_weights(s.times))
+    assert full == pytest.approx(p2, abs=1e-12)
 
 
 def test_calibrate_pulse_targets(params, grid):

@@ -204,3 +204,17 @@ def test_monte_carlo_scenario_statistics(tmp_path):
         1 for _ in range(res["accepted_shots"])
     )  # structural
     assert "bc_timeout" in res["aborts"]
+
+
+def test_monte_carlo_zero_accepted_shots(tmp_path, capsys):
+    # At 0.7 % acceptance, 20 shots of the shipped scenario accept none; the
+    # run reports that instead of failing on an empty average.
+    rc = cli.main(
+        ["run", str(SCENARIOS / "monte-carlo.cfg"), "--shots", "20", "--out", str(tmp_path)]
+    )
+    assert rc == 0
+    assert "average fidelity: nan" in capsys.readouterr().out
+    res = json.loads((tmp_path / "monte-carlo.summary.json").read_text())["results"]
+    assert res["accepted_shots"] == 0 and res["total_shots"] == 20
+    assert np.isnan(res["average_fidelity"])
+    assert all(np.isnan(f) for f in res["fidelities"].values())
