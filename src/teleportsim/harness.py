@@ -354,27 +354,15 @@ def teleport_budget_table(scenario: Scenario) -> dict:
     the links-only protocol when that single source is restored.
     """
     base_cfg = scenario.config()
-
-    def clean(cfg: protocol.ProtocolConfig) -> protocol.ProtocolConfig:
-        flat = protocol.DecayFit(1.0, 1e15, 1.0)
-        flat_f = protocol.DecayFit(0.5, 1e15, 1.0, offset=0.5)
-        return replace(
-            cfg,
-            bob_bsm=replace(cfg.bob_bsm, comm_fidelities=(1.0, 1.0), memory_fidelities=(1.0, 1.0)),
-            charlie_bsm=replace(
-                cfg.charlie_bsm, comm_fidelities=(1.0, 1.0), memory_fidelities=(1.0, 1.0)
-            ),
-            memory_fit=flat,
-            alice_eigen_fit=flat_f,
-            alice_super_fit=flat_f,
-            store_depol_bob=0.0,
-            store_depol_charlie=0.0,
-            ionization_alice=0.0,
-            prep_init_error=0.0,
-            prep_pulse_error=0.0,
-        )
-
-    base = clean(base_cfg)
+    # The links-only protocol: its ideal readouts accept every pattern, which
+    # moves the acceptance probability but no fidelity.
+    base = protocol.noiseless_config(
+        scenario.protocol_mode,
+        base_cfg.link_ab,
+        base_cfg.link_bc,
+        timeout=base_cfg.timeout,
+        attempt_period_s=base_cfg.attempt_period_s,
+    )
     f0 = protocol.average_fidelity(base)
     rows = {}
     restore = {
@@ -531,7 +519,7 @@ def _write_reports(report: ScenarioReport, out: Path) -> None:
         "results": _jsonable(report.results),
     }
     summary_path = base.with_suffix(".summary.json")
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2) + "\n")
+    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
     report.files.append(summary_path)
 
     effective = base.with_suffix(".effective.cfg")
@@ -606,7 +594,9 @@ def _jsonable(value):
     if isinstance(value, (list, tuple)):
         return [_jsonable(v) for v in value]
     if isinstance(value, (np.floating, np.integer)):
-        return value.item()
+        value = value.item()
+    if isinstance(value, float) and not math.isfinite(value):
+        return None  # undefined (e.g. no accepted shots); strict JSON has no NaN
     return value
 
 

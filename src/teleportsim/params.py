@@ -12,6 +12,7 @@ calibration inputs and marked as such.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -67,8 +68,10 @@ LINK_BC = LinkConfig(
     pulse_ns=(6.0, 6.0),
 )
 
-
-_LINK_CACHE: dict = {}
+# Links one process can need: AB and BC, with side-band rejection on and off,
+# at each calibrated window, plus the ideal link (13).  Other links, such as
+# new designs, are built once and not reused, so they only evict.
+_LINKS_KEPT = 2 * 2 * len(LinkConfig.visibility_by_window) + 1
 
 
 def _build_node(
@@ -106,16 +109,26 @@ def build_link(cfg: LinkConfig, window_ns: float | None = None) -> photonics.Lin
     """Calibrate pulses and efficiencies for a link configuration.
 
     ``window_ns`` overrides the detection window; the visibility then follows
-    the per-window table.  Efficiencies are always calibrated against the
-    detection probabilities at the reference window (the one the experiment
-    quotes), so shorter windows genuinely lose photons.  Results are cached
-    per (configuration, window).
+    the per-window table, and a window the table lacks is an error (a link
+    with an empty table keeps its single visibility at every window).
+    Efficiencies are always calibrated against the detection probabilities
+    at the reference window (the one the experiment quotes), so shorter
+    windows genuinely lose photons.  The ``_LINKS_KEPT`` most recent links
+    are kept per (configuration, resolved window), so ``window_ns=None`` and
+    the configuration's own window return the same object.
     """
-    window = cfg.window_ns if window_ns is None else window_ns
-    key = (cfg, window)
-    if key in _LINK_CACHE:
-        return _LINK_CACHE[key]
-    vis = dict(cfg.visibility_by_window).get(window, cfg.visibility)
+    return _build_link(cfg, cfg.window_ns if window_ns is None else window_ns)
+
+
+@lru_cache(maxsize=_LINKS_KEPT)
+def _build_link(cfg: LinkConfig, window: float) -> photonics.LinkParams:
+    table = dict(cfg.visibility_by_window)
+    if table and window not in table:
+        raise photonics.PhotonicsError(
+            f"link {cfg.name}: no visibility calibrated for a {window:g} ns window"
+            f" (have {', '.join(f'{w:g}' for w in table)} ns)"
+        )
+    vis = table.get(window, cfg.visibility)
     nodes = [
         _build_node(
             cfg.alpha[i],
@@ -141,7 +154,7 @@ def build_link(cfg: LinkConfig, window_ns: float | None = None) -> photonics.Lin
             )
             for node in nodes
         ]
-    link = photonics.LinkParams(
+    return photonics.LinkParams(
         node1=nodes[0],
         node2=nodes[1],
         visibility=vis,
@@ -150,8 +163,6 @@ def build_link(cfg: LinkConfig, window_ns: float | None = None) -> photonics.Lin
         zpl_window_ns=window,
         psb_rejection=cfg.psb_rejection,
     )
-    _LINK_CACHE[key] = link
-    return link
 
 
 def ideal_link_config(name: str = "ideal") -> LinkConfig:
@@ -201,7 +212,6 @@ DECOUPLING_FITS = {
 COMM_READOUT = {"bob": (0.93, 0.995), "charlie": (0.92, 0.99), "alice": (0.93, 0.995)}
 MEMORY_READOUT_EFFECTIVE = {"bob": (0.99, 0.99), "charlie": (0.98, 0.98)}
 MEMORY_STORE_DEPOL = {"bob": 0.12, "charlie": 0.14}
-MEMORY_DEPHASING = {"scale": 5327.0, "stretch": 1.13}
 IONIZATION_ALICE = 0.007
 PREP_INIT_ERROR = 1.2e-3
 PREP_PULSE_ERROR = 8e-3
@@ -215,7 +225,6 @@ BAR_PARAMS = {
 
 BAR_CONSISTENT_FRACTION = 0.88
 TIMEOUT_ATTEMPTS = 1000
-BAR_REPS = 2
 
 # Timing model (calibration inputs; the experiment reports only end-to-end
 # event rates).

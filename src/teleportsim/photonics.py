@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -146,6 +147,11 @@ class LinkParams:
             raise PhotonicsError("visibility outside [0, 1]")
         if self.phase_uncertainty_deg < 0 or self.dark_rate_hz < 0:
             raise PhotonicsError("negative noise parameter")
+
+    @cached_property
+    def heralded(self) -> HeraldedLink:
+        """The heralded link, computed once per parameter set."""
+        return interfere_and_herald(branch_emission(self.node1), branch_emission(self.node2), self)
 
 
 def branch_emission(node: NodeOptics) -> SpinPhotonState:
@@ -505,17 +511,9 @@ def interfere_and_herald(
     )
 
 
-_HERALD_CACHE: dict = {}
-
-
 def build_heralded(link: LinkParams) -> HeraldedLink:
-    """Heralded link for a parameter set (memoized on the link object)."""
-    slot = _HERALD_CACHE.get(id(link))
-    if slot is not None and slot[0] is link:
-        return slot[1]
-    hl = interfere_and_herald(branch_emission(link.node1), branch_emission(link.node2), link)
-    _HERALD_CACHE[id(link)] = (link, hl)
-    return hl
+    """Heralded link for a parameter set (``link.heralded``, computed once per link)."""
+    return link.heralded
 
 
 BUDGET_SOURCES = ("alpha", "dark", "visibility", "double-excitation", "phase")

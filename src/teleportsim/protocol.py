@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -42,6 +43,7 @@ from .spin_noise import (
     DecayFit,
     ReadoutParams,
     decoupling_channel,
+    decoupling_weights,
     dephasing_from_factor,
     depolarizing,
     ionization_event,
@@ -51,17 +53,6 @@ from .spin_noise import (
 
 class ProtocolError(ValueError):
     pass
-
-
-_CFG_CACHE: dict = {}
-
-
-def _cached(cfg, tag, compute):
-    """Per-config memo for the heavy analytic stages (config objects are frozen)."""
-    slot = _CFG_CACHE.setdefault(id(cfg), {"pin": cfg})
-    if tag not in slot:
-        slot[tag] = compute()
-    return slot[tag]
 
 
 # Bell basis |B_mc> = (Z^m X^c (x) 1) |Phi+>, first qubit carries the indices.
@@ -201,9 +192,9 @@ class ProtocolConfig:
     memory_fit: DecayFit  # Bob's storage dephasing vs entanglement attempts
     alice_eigen_fit: DecayFit
     alice_super_fit: DecayFit
-    store_depol_bob: float = 0.12
-    store_depol_charlie: float = 0.14
-    ionization_alice: float = 0.007
+    store_depol_bob: float = defaults.MEMORY_STORE_DEPOL["bob"]
+    store_depol_charlie: float = defaults.MEMORY_STORE_DEPOL["charlie"]
+    ionization_alice: float = defaults.IONIZATION_ALICE
     prep_init_error: float = defaults.PREP_INIT_ERROR
     prep_pulse_error: float = defaults.PREP_PULSE_ERROR
     timeout: int = defaults.TIMEOUT_ATTEMPTS
@@ -211,7 +202,7 @@ class ProtocolConfig:
     phase_a_rad: float = 0.1
     phase_b_rad: float = 0.05
     attempt_period_s: float = defaults.ATTEMPT_PERIOD_S
-    alice_total_overhead_s: float = 2.0e-3
+    alice_total_overhead_s: float = defaults.FIXED_OVERHEAD_ALICE_S
     alice_readout: tuple[float, float] = defaults.COMM_READOUT["alice"]
     feed_forward: bool = True
     frame_bob: str = "computational"
@@ -235,6 +226,11 @@ class ProtocolConfig:
     def alice_channel(self, t: float):
         return decoupling_channel(t, self.alice_eigen_fit, self.alice_super_fit)
 
+    @cached_property
+    def teleporter(self) -> Teleporter:
+        """The input-independent teleporter, prepared once per configuration."""
+        return _prepare_teleporter(self)
+
 
 def _unconditional_bsm(bsm: BsmModel, readout: ReadoutParams) -> BsmModel:
     """Deterministic-measurement variant: accept everything, first readout only."""
@@ -247,6 +243,36 @@ def _unconditional_bsm(bsm: BsmModel, readout: ReadoutParams) -> BsmModel:
     )
 
 
+def noiseless_config(
+    mode: str, link_ab: LinkParams, link_bc: LinkParams, **overrides
+) -> ProtocolConfig:
+    """Every protocol noise source off, on the given links.
+
+    ``mode`` selects Charlie's measurement policy as in ``make_config``.
+    The readouts are ideal and accept every pattern the policy allows.
+    """
+    if mode not in ("conditional", "unconditional"):
+        raise ProtocolError(f"unknown mode {mode!r}")
+    flat = DecayFit(0.5, 1e15, 1.0, offset=0.5)
+    cfg = ProtocolConfig(
+        link_ab=link_ab,
+        link_bc=link_bc,
+        bob_bsm=BsmModel((1.0, 1.0), (1.0, 1.0), policy="comm0"),
+        charlie_bsm=BsmModel(
+            (1.0, 1.0), (1.0, 1.0), policy="comm0" if mode == "conditional" else "all"
+        ),
+        memory_fit=DecayFit(1.0, 1e15, 1.0),
+        alice_eigen_fit=flat,
+        alice_super_fit=flat,
+        store_depol_bob=0.0,
+        store_depol_charlie=0.0,
+        ionization_alice=0.0,
+        prep_init_error=0.0,
+        prep_pulse_error=0.0,
+    )
+    return replace(cfg, **overrides)
+
+
 def make_config(
     mode: str = "conditional",
     window_ns: float | None = None,
@@ -254,39 +280,20 @@ def make_config(
     improved_memory: bool = True,
     tailored_heralding: bool = True,
     noiseless: bool = False,
-    link_ab: LinkParams | None = None,
-    link_bc: LinkParams | None = None,
     **overrides,
 ) -> ProtocolConfig:
     """Assemble a protocol configuration from the calibrated defaults.
 
     ``mode`` selects Charlie's measurement policy; the three innovation
     toggles reproduce the upgrade ladder: repetitive readout, memory decoupling,
-    and side-band herald rejection.
+    and side-band herald rejection.  ``noiseless`` runs ``noiseless_config``
+    on the ideal link.
     """
+    if noiseless:
+        link = defaults.build_link(defaults.ideal_link_config())
+        return noiseless_config(mode, link, link, **overrides)
     if mode not in ("conditional", "unconditional"):
         raise ProtocolError(f"unknown mode {mode!r}")
-    if noiseless:
-        ideal_fit = DecayFit(1.0, 1e15, 1.0)
-        flat = DecayFit(0.5, 1e15, 1.0, offset=0.5)
-        link = defaults.build_link(defaults.ideal_link_config())
-        cfg = ProtocolConfig(
-            link_ab=link,
-            link_bc=link,
-            bob_bsm=BsmModel((1.0, 1.0), (1.0, 1.0), policy="comm0"),
-            charlie_bsm=BsmModel(
-                (1.0, 1.0), (1.0, 1.0), policy="comm0" if mode == "conditional" else "all"
-            ),
-            memory_fit=ideal_fit,
-            alice_eigen_fit=flat,
-            alice_super_fit=flat,
-            store_depol_bob=0.0,
-            store_depol_charlie=0.0,
-            ionization_alice=0.0,
-            prep_init_error=0.0,
-            prep_pulse_error=0.0,
-        )
-        return replace(cfg, **overrides)
 
     ab_cfg = defaults.LINK_AB if tailored_heralding else replace(
         defaults.LINK_AB, psb_rejection=False
@@ -294,8 +301,8 @@ def make_config(
     bc_cfg = defaults.LINK_BC if tailored_heralding else replace(
         defaults.LINK_BC, psb_rejection=False
     )
-    ab = link_ab or defaults.build_link(ab_cfg, window_ns=window_ns)
-    bc = link_bc or defaults.build_link(bc_cfg, window_ns=window_ns)
+    ab = defaults.build_link(ab_cfg, window_ns=window_ns)
+    bc = defaults.build_link(bc_cfg, window_ns=window_ns)
 
     readout = {
         node: ReadoutParams(
@@ -343,8 +350,6 @@ def make_config(
         memory_fit=memory_fit,
         alice_eigen_fit=DecayFit(ae["amplitude"], ae["scale"], ae["stretch"], offset=0.5),
         alice_super_fit=DecayFit(asup["amplitude"], asup["scale"], asup["stretch"], offset=0.5),
-        store_depol_bob=defaults.MEMORY_STORE_DEPOL["bob"],
-        store_depol_charlie=defaults.MEMORY_STORE_DEPOL["charlie"],
     )
     return replace(cfg, **overrides)
 
@@ -515,7 +520,7 @@ def entanglement_swap(
     return out
 
 
-@dataclass
+@dataclass(frozen=True)
 class _QAverages:
     """Expectations over the truncated attempt-number distribution."""
 
@@ -526,41 +531,24 @@ class _QAverages:
     alice1: np.ndarray  # E[c_i(t(q)) lambda(q)]
 
 
-def _pauli_weights(channel) -> np.ndarray:
-    """Pauli-diagonal weights of a channel built by pauli_channel."""
-    w = np.zeros(4)
-    for k in channel.kraus:
-        for i, s in enumerate(PAULIS):
-            overlap = abs(np.trace(s.conj().T @ k)) ** 2 / 4.0
-            w[i] += overlap
-    return w
-
-
 def _q_averages(cfg: ProtocolConfig) -> _QAverages:
-    hl = build_heralded(cfg.link_bc)
-    p = hl.p_success
-    t_max = cfg.timeout
-    qs = np.arange(1, t_max + 1, dtype=float)
+    p = build_heralded(cfg.link_bc).p_success
+    qs = np.arange(1, cfg.timeout + 1, dtype=float)
     log1m = math.log1p(-p) if p < 1.0 else -np.inf
     pmf = np.exp(np.clip((qs - 1) * log1m, -700, 0)) * p
     total = pmf.sum()
     if total <= 0:
         raise ProtocolError("second link can never herald")
     pmf = pmf / total
-    lam = np.exp(-((qs / cfg.memory_fit.scale) ** cfg.memory_fit.stretch))
-    alice0 = np.zeros(4)
-    alice1 = np.zeros(4)
-    for q, w, l in zip(qs, pmf, lam):
-        t_full = 2.0 * q * cfg.attempt_period_s + cfg.alice_total_overhead_s
-        cf = _pauli_weights(cfg.alice_channel(t_full))
-        alice0 += w * cf
-        alice1 += w * cf * l
+    lam = cfg.memory_fit.decay_factor(qs)
+    t_alice = 2.0 * qs * cfg.attempt_period_s + cfg.alice_total_overhead_s
+    weights = decoupling_weights(t_alice, cfg.alice_eigen_fit, cfg.alice_super_fit)
     return _QAverages(
         p_success=total,
         mean_attempts=float((qs * pmf).sum()),
         dephasing=float((lam * pmf).sum()),
-        alice0=alice0,
-        alice1=alice1,
+        alice0=pmf @ weights,
+        alice1=(pmf * lam) @ weights,
     )
 
 
@@ -572,18 +560,16 @@ def _sign_probs(hl: HeraldedLink) -> dict[int, float]:
     return {+1: hl.p_plus / hl.p_success, -1: hl.p_minus / hl.p_success}
 
 
-def _bob_stage(
-    cfg: ProtocolConfig, lam: float
-) -> dict[tuple[int, int, tuple[int, int]], QuantumState]:
-    """Unnormalized Alice-Charlie branches per (sign_ab, sign_bc, bob outcome).
+def _bob_stage(cfg: ProtocolConfig, lam: float) -> QuantumState:
+    """Unnormalized Alice-Charlie state after Bob's swap, summed over branches.
 
-    ``lam`` is the memory dephasing factor; the output is affine in it.
-    Branch weights carry the sign and Bell-outcome probabilities; Charlie's
-    frame correction and storage depolarizing are applied.
+    Sums over herald signs and the Bob outcomes the policy accepts, each
+    weighted by its probability, after Charlie's frame correction.  ``lam``
+    is the memory dephasing factor; the output is affine in it.
     """
     hl_ab = build_heralded(cfg.link_ab)
     hl_bc = build_heralded(cfg.link_bc)
-    out = {}
+    acc = np.zeros((4, 4), dtype=complex)
     for s1, p1 in _sign_probs(hl_ab).items():
         rho_ab = _link_states(hl_ab)[s1].relabeled({"q1": "alice", "q2": "mem_b"})
         rho_ab = apply_unitary(rho_ab, cfg.r_bob, ["mem_b"])
@@ -598,15 +584,8 @@ def _bob_stage(
                 if not cfg.bob_bsm.accepts(*mc):
                     continue
                 u = swap_correction(mc[0], mc[1], s1, s2, cfg.r_bob)
-                corrected = apply_unitary(state, u, ["comm_c"])
-                scaled = QuantumState(
-                    corrected.dims,
-                    corrected.labels,
-                    corrected.matrix * (p1 * p2),
-                    corrected.weight * p1 * p2,
-                )
-                out[(s1, s2, mc)] = scaled
-    return out
+                acc += apply_unitary(state, u, ["comm_c"]).matrix * (p1 * p2)
+    return QuantumState((2, 2), ("alice", "comm_c"), acc, float(np.trace(acc).real))
 
 
 def _store_at_charlie(cfg: ProtocolConfig, state: QuantumState) -> QuantumState:
@@ -614,8 +593,56 @@ def _store_at_charlie(cfg: ProtocolConfig, state: QuantumState) -> QuantumState:
     return apply_channel(stored, depolarizing(cfg.store_depol_charlie), ["mem_c"])
 
 
-def _apply_pauli_weights(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _apply_pauli_mix(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sum(w * (s @ mat @ s.conj().T) for w, s in zip(weights, PAULIS))
+
+
+@dataclass(frozen=True)
+class Teleporter:
+    """The Alice-Charlie resource of one configuration, shared by every input.
+
+    ``swapped`` holds the unnormalized Alice-Charlie state right after Bob's
+    swap correction and ``stored`` the one once Charlie has stored his half,
+    each at memory dephasing factor 0 and 1 (the states are affine in it),
+    summed over herald signs and accepted Bob outcomes.  Every later stage
+    is linear in the stored state, so summing first is exact.  The
+    fidelities and Bob's accepted weight are averaged over the attempt
+    count.
+    """
+
+    averages: _QAverages
+    swapped: tuple[QuantumState, QuantumState]
+    stored: tuple[QuantumState, QuantumState]
+    swap_fidelity: float
+    teleporter_fidelity: float
+    bob_weight: float
+
+
+def _prepare_teleporter(cfg: ProtocolConfig) -> Teleporter:
+    qa = _q_averages(cfg)
+    swapped = (_bob_stage(cfg, 0.0), _bob_stage(cfg, 1.0))
+    stored = (_store_at_charlie(cfg, swapped[0]), _store_at_charlie(cfg, swapped[1]))
+
+    def averaged(pair: tuple[QuantumState, QuantumState]) -> np.ndarray:
+        g0, g1 = pair[0].matrix, pair[1].matrix
+        return g0 + qa.dephasing * (g1 - g0)
+
+    # Alice-Charlie fidelities at the two cuts.  Alice's decoupling and the
+    # later measurement noise belong to the teleported state's own budget.
+    swap, tele = averaged(swapped), averaged(stored)
+    phi_vec = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
+    tele_vec = np.kron(np.eye(2), cfg.r_charlie) @ phi_vec
+    bob_weight = float(np.trace(swap).real)
+    return Teleporter(
+        averages=qa,
+        swapped=swapped,
+        stored=stored,
+        swap_fidelity=float(np.real(phi_vec.conj() @ swap @ phi_vec) / bob_weight),
+        teleporter_fidelity=float(
+            np.real(tele_vec.conj() @ tele @ tele_vec) / np.trace(tele).real
+        ),
+        bob_weight=bob_weight,
+    )
 
 
 @dataclass(frozen=True)
@@ -633,27 +660,20 @@ class AnalyticResult:
 
 
 def _charlie_stage(
-    cfg: ProtocolConfig,
-    stored_branches: dict,
-    psi_in: QuantumState,
+    cfg: ProtocolConfig, stored: QuantumState, psi_in: QuantumState
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Alice branches (2x2, unnormalized) per assigned Charlie outcome."""
-    acc: dict[tuple[int, int], np.ndarray] = {
-        mc: np.zeros((2, 2), dtype=complex) for mc in BELL_OUTCOMES
-    }
-    for (_s1, _s2, _mc1), tele in stored_branches.items():
-        joint = tensor(tele, psi_in)
-        branches = _bell_project(joint, ("mem_c", "input"))
-        assigned = _confused_outcomes(branches, cfg.charlie_bsm)
-        for mc, state in assigned.items():
-            if not cfg.charlie_bsm.accepts(*mc):
-                continue
-            mat = state.matrix
-            if cfg.feed_forward:
-                u = teleport_correction(*mc, cfg.r_charlie)
-                mat = u @ mat @ u.conj().T
-            acc[mc] = acc[mc] + mat
-    return acc
+    """Alice's state (2x2, unnormalized) per accepted assigned Charlie outcome."""
+    branches = _bell_project(tensor(stored, psi_in), ("mem_c", "input"))
+    out = {}
+    for mc, state in _confused_outcomes(branches, cfg.charlie_bsm).items():
+        if not cfg.charlie_bsm.accepts(*mc):
+            continue
+        mat = state.matrix
+        if cfg.feed_forward:
+            u = teleport_correction(*mc, cfg.r_charlie)
+            mat = u @ mat @ u.conj().T
+        out[mc] = mat
+    return out
 
 
 def _input_state(cfg: ProtocolConfig, which) -> tuple[QuantumState, np.ndarray]:
@@ -682,48 +702,18 @@ def run_teleportation_analytic(cfg: ProtocolConfig, which) -> AnalyticResult:
     distribution (memory dephasing and Alice's decoupling channel are
     averaged jointly), ionization, and state-preparation noise.
     """
-    qa = _cached(cfg, "qa", lambda: _q_averages(cfg))
+    tp = cfg.teleporter
+    qa = tp.averages
     psi_in, target = _input_state(cfg, which)
-
-    bob0 = _cached(cfg, "bob0", lambda: _bob_stage(cfg, 0.0))
-    bob1 = _cached(cfg, "bob1", lambda: _bob_stage(cfg, 1.0))
-    stored0 = _cached(
-        cfg, "stored0", lambda: {k: _store_at_charlie(cfg, v) for k, v in bob0.items()}
-    )
-    stored1 = _cached(
-        cfg, "stored1", lambda: {k: _store_at_charlie(cfg, v) for k, v in bob1.items()}
-    )
-
-    # Alice-Charlie fidelities at two cuts, averaged over the attempt count:
-    # right after the swap correction, and once Charlie has stored.  Alice's
-    # decoupling and the later measurement noise belong to the teleported
-    # state's own budget.
-    swap_acc = np.zeros((4, 4), dtype=complex)
-    tele_acc = np.zeros((4, 4), dtype=complex)
-    for key in bob0:
-        g0, g1 = bob0[key].matrix, bob1[key].matrix
-        avg = g0 + qa.dephasing * (g1 - g0)
-        swap_acc += avg
-        state = QuantumState((2, 2), ("alice", "comm_c"), avg, float(np.trace(avg).real))
-        tele_acc += _store_at_charlie(cfg, state).matrix
-    phi_vec = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
-    bob_weight = float(np.trace(swap_acc).real)
-    swap_fid = float(np.real(phi_vec.conj() @ swap_acc @ phi_vec) / bob_weight)
-    tele_vec = np.kron(np.eye(2), cfg.r_charlie) @ phi_vec
-    tele_fid = float(
-        np.real(tele_vec.conj() @ tele_acc @ tele_vec) / np.trace(tele_acc).real
-    )
-
-    out0 = _charlie_stage(cfg, stored0, psi_in)
-    out1 = _charlie_stage(cfg, stored1, psi_in)
+    out0 = _charlie_stage(cfg, tp.stored[0], psi_in)
+    out1 = _charlie_stage(cfg, tp.stored[1], psi_in)
 
     per_outcome = {}
     rho_total = np.zeros((2, 2), dtype=complex)
     weight_total = 0.0
-    for mc in BELL_OUTCOMES:
-        g0, g1 = out0[mc], out1[mc]
-        d = g1 - g0
-        avg = _apply_pauli_weights(g0, qa.alice0) + _apply_pauli_weights(d, qa.alice1)
+    for mc, g0 in out0.items():
+        d = out1[mc] - g0
+        avg = _apply_pauli_mix(g0, qa.alice0) + _apply_pauli_mix(d, qa.alice1)
         # Ionization replaces Alice's qubit with the maximally mixed state.
         w = float(np.trace(avg).real)
         if w <= 0.0:
@@ -746,9 +736,9 @@ def run_teleportation_analytic(cfg: ProtocolConfig, which) -> AnalyticResult:
         fidelity=float(np.real(target.conj() @ rho.matrix @ target)),
         per_outcome=per_outcome,
         accept_probability=float(accept),
-        teleporter_fidelity=tele_fid,
-        swap_fidelity=swap_fid,
-        bob_accept_weight=bob_weight,
+        teleporter_fidelity=tp.teleporter_fidelity,
+        swap_fidelity=tp.swap_fidelity,
+        bob_accept_weight=tp.bob_weight,
         mean_attempts_bc=qa.mean_attempts,
     )
 

@@ -45,12 +45,13 @@ class DecayFit:
         if self.scale <= 0 or self.stretch <= 0:
             raise SpinNoiseError("scale and stretch must be positive")
 
-    def value(self, x: float) -> float:
-        return self.amplitude * math.exp(-((x / self.scale) ** self.stretch)) + self.offset
+    def value(self, x):
+        """Fit value at x (a scalar or an array)."""
+        return self.amplitude * self.decay_factor(x) + self.offset
 
-    def decay_factor(self, x: float) -> float:
+    def decay_factor(self, x):
         """Normalized decay exp(-(x/scale)**stretch), i.e. f(x)/f(0) sans offset."""
-        return math.exp(-((x / self.scale) ** self.stretch))
+        return np.exp(-((x / self.scale) ** self.stretch))
 
 
 def dephasing_from_factor(lam: float) -> Channel:
@@ -92,30 +93,41 @@ def ionization_event(p_ion: float, rng: np.random.Generator) -> bool:
     return bool(rng.uniform() < p_ion)
 
 
-def decoupling_channel(t: float, eigen_fit: DecayFit, super_fit: DecayFit) -> Channel:
-    """Channel matching measured decoupling fidelities of eigen/superposition states.
+def decoupling_weights(t, eigen_fit: DecayFit, super_fit: DecayFit) -> np.ndarray:
+    """Pauli weights (I, X, Y, Z) matching measured decoupling fidelities at time(s) t.
 
-    Constructs the unique Pauli-diagonal channel whose Z-axis Bloch scaling
-    follows the eigenstate fit and whose transverse scaling follows the
-    superposition fit; either state family may decay faster.  Raises when the
-    two curves are not jointly realizable by a channel.
+    The unique Pauli-diagonal channel whose Z-axis Bloch scaling follows the
+    eigenstate fit and whose transverse scaling follows the superposition
+    fit; either state family may decay faster.  Vectorized over ``t``: the
+    result has shape ``np.shape(t) + (4,)``.  Raises when the two curves are
+    not jointly realizable by a channel.
     """
-    if t < 0:
+    t = np.asarray(t, dtype=float)
+    if np.any(t < 0):
         raise SpinNoiseError("time must be nonnegative")
     if abs(eigen_fit.offset - 0.5) > 1e-12 or abs(super_fit.offset - 0.5) > 1e-12:
         raise SpinNoiseError("decoupling fits must be fidelity fits with offset 0.5")
     lam_z = 2.0 * eigen_fit.value(t) - 1.0
     lam_xy = 2.0 * super_fit.value(t) - 1.0
-    p_i = (1.0 + lam_z + 2.0 * lam_xy) / 4.0
-    p_z = (1.0 + lam_z - 2.0 * lam_xy) / 4.0
     p_xy = (1.0 - lam_z) / 4.0
-    probs = np.array([p_i, p_xy, p_xy, p_z])
-    if probs.min() < -1e-12:
+    probs = np.stack(
+        [(1.0 + lam_z + 2.0 * lam_xy) / 4.0, p_xy, p_xy, (1.0 + lam_z - 2.0 * lam_xy) / 4.0],
+        axis=-1,
+    )
+    rows = probs.reshape(-1, 4)
+    bad = np.flatnonzero(rows.min(axis=1) < -1e-12)
+    if bad.size:
+        k = bad[0]
         raise SpinNoiseError(
-            f"fits not realizable as a channel at t={t}: weights {probs.tolist()}"
+            f"fits not realizable as a channel at t={t.flat[k]}: weights {rows[k].tolist()}"
         )
-    probs = np.clip(probs, 0.0, None)
-    return pauli_channel(probs[1], probs[2], probs[3])
+    return np.clip(probs, 0.0, None)
+
+
+def decoupling_channel(t: float, eigen_fit: DecayFit, super_fit: DecayFit) -> Channel:
+    """Channel matching measured decoupling fidelities (see ``decoupling_weights``)."""
+    _p_i, p_x, p_y, p_z = decoupling_weights(t, eigen_fit, super_fit)
+    return pauli_channel(p_x, p_y, p_z)
 
 
 @dataclass(frozen=True)

@@ -214,7 +214,31 @@ def test_monte_carlo_zero_accepted_shots(tmp_path, capsys):
     )
     assert rc == 0
     assert "average fidelity: nan" in capsys.readouterr().out
-    res = json.loads((tmp_path / "monte-carlo.summary.json").read_text())["results"]
+    # Undefined fidelities are written as null: the summary is strict JSON.
+    text = (tmp_path / "monte-carlo.summary.json").read_text()
+    res = json.loads(text, parse_constant=_reject_constant)["results"]
     assert res["accepted_shots"] == 0 and res["total_shots"] == 20
-    assert np.isnan(res["average_fidelity"])
-    assert all(np.isnan(f) for f in res["fidelities"].values())
+    assert res["average_fidelity"] is None
+    assert all(f is None for f in res["fidelities"].values())
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-standard JSON constant {token}")
+
+
+def test_cli_rates_uncalibrated_window(tmp_path, capsys):
+    # A window missing from the link's visibility table is an error, not a
+    # silent fallback to the 15 ns visibility.
+    rc = cli.main(
+        [
+            "rates",
+            str(SCENARIOS / "experiment-conditional.cfg"),
+            "--windows",
+            "12,15",
+            "--out",
+            str(tmp_path),
+        ]
+    )
+    assert rc == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "12 ns" in err[0]

@@ -1,3 +1,5 @@
+import gc
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -323,3 +325,26 @@ def test_fock_oracle_agreement_random():
             for key, val in hl.flag_prob.items():
                 got = ref["flags"].get(key, 0.0) / (ref["p_plus"] + ref["p_minus"])
                 assert got == pytest.approx(val, abs=1e-9)
+
+
+def test_build_link_keyed_on_resolved_window():
+    assert params.build_link(params.LINK_AB) is params.build_link(params.LINK_AB, window_ns=15.0)
+
+
+def test_uncalibrated_window_rejected():
+    # A window missing from a non-empty visibility table raises instead of
+    # falling back to the reference window's visibility.
+    with pytest.raises(photonics.PhotonicsError, match="12 ns"):
+        params.build_link(params.LINK_AB, window_ns=12.0)
+    # An empty table keeps the link's single visibility at every window.
+    ideal = params.ideal_link_config()
+    assert params.build_link(ideal, window_ns=12.0).visibility == ideal.visibility
+
+
+def test_heralded_link_collectable(link_ab):
+    variant = replace(link_ab, psb_rejection=False)
+    assert build_heralded(variant) is variant.heralded
+    ref = weakref.ref(variant)
+    del variant
+    gc.collect()
+    assert ref() is None

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -239,3 +241,36 @@ def test_bad_config_rejected():
         pt.make_config(noiseless=True, timeout=0)
     with pytest.raises(pt.ProtocolError):
         pt.make_config(noiseless=True, frame_bob="diagonal")
+
+
+def test_config_collectable_after_analytic_run():
+    cfg = pt.make_config("conditional", timeout=200)
+    pt.run_teleportation_analytic(cfg, "+x")
+    assert cfg.teleporter is cfg.teleporter
+    ref = weakref.ref(cfg)
+    del cfg
+    gc.collect()
+    assert ref() is None
+
+
+def test_attempt_averages_match_per_attempt_channels():
+    # Loop reference: one decoupling channel per attempt count, its Pauli
+    # weights read back from the Kraus operators.
+    cfg = pt.make_config("unconditional", bar_on=False, timeout=40)
+    qa = cfg.teleporter.averages
+    p = pt.build_heralded(cfg.link_bc).p_success
+    alice0 = np.zeros(4)
+    alice1 = np.zeros(4)
+    total = 0.0
+    for q in range(1, cfg.timeout + 1):
+        w = p * (1.0 - p) ** (q - 1)
+        ch = cfg.alice_channel(2.0 * q * cfg.attempt_period_s + cfg.alice_total_overhead_s)
+        c = np.array(
+            [sum(abs(np.trace(s.conj().T @ k)) ** 2 / 4.0 for k in ch.kraus) for s in hb.PAULIS]
+        )
+        alice0 += w * c
+        alice1 += w * c * cfg.memory_fit.decay_factor(q)
+        total += w
+    assert qa.p_success == pytest.approx(total, rel=1e-12)
+    assert np.allclose(qa.alice0, alice0 / total, rtol=0.0, atol=1e-12)
+    assert np.allclose(qa.alice1, alice1 / total, rtol=0.0, atol=1e-12)

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from teleportsim import hilbert as hb
 from teleportsim import params, spin_noise as sn
@@ -103,6 +105,52 @@ def test_decoupling_infeasible_pair_rejected():
     sup = sn.DecayFit(0.49, 1.0, 1.0, offset=0.5)
     with pytest.raises(sn.SpinNoiseError):
         sn.decoupling_channel(0.0, eig, sup)
+
+
+_FIDELITY_FITS = st.builds(
+    lambda a, scale, stretch: sn.DecayFit(a, scale, stretch, offset=0.5),
+    st.floats(0.01, 0.5),
+    st.floats(0.01, 2.0),
+    st.floats(0.3, 3.0),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    eig=_FIDELITY_FITS,
+    sup=_FIDELITY_FITS,
+    ts=st.lists(st.floats(0.0, 5.0), min_size=1, max_size=6),
+)
+def test_decoupling_weights_match_channel(eig, sup, ts):
+    # Realizability from the fits alone: the Z weight (1 + lz - 2 lxy) / 4 of
+    # the Pauli-diagonal channel must not be negative at any t.
+    lz = np.array([2.0 * eig.value(t) - 1.0 for t in ts])
+    lxy = np.array([2.0 * sup.value(t) - 1.0 for t in ts])
+    margin = ((1.0 + lz - 2.0 * lxy) / 4.0).min()
+    assume(not -1e-9 < margin < 0.0)
+    if margin < 0.0:
+        with pytest.raises(sn.SpinNoiseError):
+            sn.decoupling_weights(np.array(ts), eig, sup)
+        return
+    w = sn.decoupling_weights(np.array(ts), eig, sup)
+    assert w.shape == (len(ts), 4)
+    for t, row, z, xy in zip(ts, w, lz, lxy):
+        # Pauli weights read back from the channel's Kraus operators.
+        ch = sn.decoupling_channel(t, eig, sup)
+        from_kraus = [
+            sum(abs(np.trace(s.conj().T @ k)) ** 2 / 4.0 for k in ch.kraus) for s in hb.PAULIS
+        ]
+        assert np.allclose(row, from_kraus, rtol=0.0, atol=1e-12)
+        assert np.allclose(sn.decoupling_weights(t, eig, sup), row, rtol=0.0, atol=1e-12)
+        # Bloch scalings along Z and transverse reproduce the two fits.
+        i, x, y, zz = row
+        assert i + zz - x - y == pytest.approx(z, abs=1e-12)
+        assert i + x - y - zz == pytest.approx(xy, abs=1e-12)
+
+
+def test_decoupling_weights_reject_negative_time():
+    with pytest.raises(sn.SpinNoiseError):
+        sn.decoupling_weights(np.array([0.1, -0.1]), _fit("alice", "eigen"), _fit("alice", "super"))
 
 
 def test_bar_perfect_readout():
