@@ -1,0 +1,6 @@
+"""``python -m teleportsim``: the command line tool without an installed script."""
+
+from .cli import main
+
+if __name__ == "__main__":
+    raise SystemExit(main())

@@ -17,6 +17,7 @@ import math
 import zlib
 from dataclasses import dataclass, field, replace
 from pathlib import Path
+from typing import get_type_hints
 
 import numpy as np
 
@@ -43,9 +44,14 @@ class HarnessError(ValueError):
 # Config format
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``section.key = value`` lines into a flat dict of typed values."""
-    out: dict[str, object] = {}
+_TRUE = ("on", "true", "yes")
+_FALSE = ("off", "false", "no")
+_KIND_NAMES = {bool: "on or off", int: "an integer", float: "a finite number", str: "text"}
+
+
+def read_config_text(text: str) -> dict[str, str]:
+    """Read ``section.key = value`` lines into a flat dict of raw value texts."""
+    out: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -55,17 +61,22 @@ def parse_config_text(text: str) -> dict:
         key, value = (part.strip() for part in line.split("=", 1))
         if not key:
             raise HarnessError(f"line {lineno}: empty key")
-        out[key] = _coerce(value)
+        out[key] = value
     return out
+
+
+def parse_config_text(text: str) -> dict:
+    """Parse ``section.key = value`` lines, each value typed by its shape."""
+    return {key: _coerce(value) for key, value in read_config_text(text).items()}
 
 
 def _coerce(value: str):
     if "," in value:
         return tuple(_coerce(v.strip()) for v in value.split(","))
     low = value.lower()
-    if low in ("on", "true", "yes"):
+    if low in _TRUE:
         return True
-    if low in ("off", "false", "no"):
+    if low in _FALSE:
         return False
     try:
         return int(value)
@@ -76,6 +87,31 @@ def _coerce(value: str):
     except ValueError:
         pass
     return value
+
+
+def _typed(key: str, kind: type, value):
+    """One scenario value as its field's type: text is parsed, typed values checked."""
+    if kind == tuple[str, ...]:
+        if isinstance(value, str):
+            value = tuple(v.strip() for v in value.split(","))
+        return tuple(_typed(key, str, v) for v in (value if isinstance(value, tuple) else (value,)))
+    out = _parse(kind, value) if isinstance(value, str) else value
+    if kind is float and type(out) is int:
+        out = float(out)
+    if type(out) is not kind or (kind is float and not math.isfinite(out)):
+        raise HarnessError(f"{key}: expected {_KIND_NAMES[kind]}, got {value!r}")
+    return out
+
+
+def _parse(kind: type, text: str):
+    """``text`` as a ``kind``, or None when it does not parse as one."""
+    if kind is bool:
+        low = text.lower()
+        return True if low in _TRUE else False if low in _FALSE else None
+    try:
+        return kind(text)
+    except ValueError:
+        return None
 
 
 def emit_config_text(values: dict) -> str:
@@ -143,16 +179,13 @@ class Scenario:
             "rate.cycle_overhead_s": "cycle_overhead_s",
             "rate.event_overhead_s": "event_overhead_s",
         }
+        kinds = get_type_hints(cls)
         kwargs = {}
         for key, value in values.items():
             if key not in known:
                 raise HarnessError(f"unknown configuration key {key!r}")
             name = known[key]
-            if name == "outputs":
-                value = value if isinstance(value, tuple) else (value,)
-            if name == "window_ns":
-                value = float(value)
-            kwargs[name] = value
+            kwargs[name] = _typed(key, kinds[name], value)
         if "name" not in kwargs:
             raise HarnessError("scenario.name is required")
         return cls(**kwargs)
@@ -190,7 +223,7 @@ class Scenario:
 
 
 def load_scenario(path: str | Path) -> Scenario:
-    return Scenario.from_values(parse_config_text(Path(path).read_text()))
+    return Scenario.from_values(read_config_text(Path(path).read_text()))
 
 
 def shot_rng(seed: int, scenario: str, shot: int) -> np.random.Generator:

@@ -154,6 +154,8 @@ def _build_link(cfg: LinkConfig, window: float) -> photonics.LinkParams:
             )
             for node in nodes
         ]
+    # Every window is integrated: the link keeps no emitter grid solution.
+    nodes = [replace(node, emission=replace(node.emission, solution=None)) for node in nodes]
     return photonics.LinkParams(
         node1=nodes[0],
         node2=nodes[1],

@@ -7,7 +7,16 @@ kept in the state) or are lost; side-band photons either fire the local
 side-band detector (a classical click with a during/after-pulse epoch tag) or
 are lost.  Branches with different loss/click records are orthogonal after
 tracing the environment, so the state is an incoherent mixture of small pure
-states -- which keeps the two-node interference calculation exact and cheap.
+states.
+
+The herald decision reads only two things from a pair of branches: the
+photon configuration leaving the beam splitter and each node's set of
+side-band flag epochs.  Every herald output is linear in each node's
+|amps><amps|, so the branches of a node are summed, per flag class
+(``frozenset`` of side-band epochs, at most four), into one spin x photon
+density; one contraction per pair of flag classes then gives the
+conditioned two-spin matrix of every output configuration at once, which
+keeps the interference calculation exact and cheap.
 
 The central station interferes the two kept modes on a balanced beam
 splitter; partial photon distinguishability enters as a two-temporal-mode
@@ -21,7 +30,7 @@ tailored heralding is enabled.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import product
 
@@ -153,6 +162,11 @@ class LinkParams:
         """The heralded link, computed once per parameter set."""
         return interfere_and_herald(branch_emission(self.node1), branch_emission(self.node2), self)
 
+    @cached_property
+    def protocol_only(self) -> LinkParams:
+        """This link with every error source off but the protocol (alpha) term."""
+        return _idealized(self, set())
+
 
 def branch_emission(node: NodeOptics) -> SpinPhotonState:
     """Expand one node's post-pulse state into its orthogonal photon-fate branches."""
@@ -281,20 +295,29 @@ def detection_probability(node: NodeOptics) -> float:
     )
 
 
-def calibrate_eta_zpl(node: NodeOptics, target: float, tol: float = 1e-10) -> NodeOptics:
-    """Set eta_zpl so the bright-state detection probability matches the target."""
-    lo, hi = 0.0, 1.0
-    if detection_probability(replace(node, eta_zpl=1.0)) < target:
+def calibrate_eta_zpl(node: NodeOptics, target: float) -> NodeOptics:
+    """Set eta_zpl so the bright-state detection probability matches the target.
+
+    One resonant photon in the window is detected with probability eta and
+    two with 1 - (1 - eta)^2, so the detection probability is exactly
+    D(eta) = A eta + B (2 eta - eta^2).  A and B follow from D(1) and D(1/2);
+    the small root of D(eta) = target is checked against a third evaluation
+    to 1e-9 relative.
+    """
+    d_one = detection_probability(replace(node, eta_zpl=1.0))
+    if not 0.0 <= target <= d_one:
         raise PhotonicsError(f"detection probability target {target} unreachable")
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if detection_probability(replace(node, eta_zpl=mid)) < target:
-            lo = mid
-        else:
-            hi = mid
-        if hi - lo < tol:
-            break
-    return replace(node, eta_zpl=0.5 * (lo + hi))
+    b = 4.0 * detection_probability(replace(node, eta_zpl=0.5)) - 2.0 * d_one
+    slope = d_one + b  # A + 2B = D'(0)
+    # Small root of B eta^2 - (A + 2B) eta + target = 0, in the form without
+    # cancellation; the discriminant is at least A^2 when target <= D(1).
+    root = slope + math.sqrt(max(slope * slope - 4.0 * b * target, 0.0))
+    eta = min(2.0 * target / root, 1.0) if target > 0.0 else 0.0
+    calibrated = replace(node, eta_zpl=eta)
+    residual = abs(detection_probability(calibrated) - target)
+    if residual > 1e-9 * target:
+        raise PhotonicsError(f"eta_zpl calibration residual {residual:.2e} exceeds 1e-9 relative")
+    return calibrated
 
 
 # Beam splitter output modes, in order: (+A, +B, -A, -B) where +/- are the two
@@ -348,21 +371,43 @@ def _pattern(cfg: tuple) -> str:
     return "none"
 
 
-@dataclass
-class _Accumulator:
-    """Weights and unnormalized conditioned spin matrices for one herald sign."""
+def _interference_kernel(visibility: float, sigma: float) -> tuple[np.ndarray, list[str]]:
+    """Beam splitter and phase average as one kernel over output configurations.
 
-    prob: float = 0.0
-    rho: np.ndarray = field(default_factory=lambda: np.zeros((4, 4), dtype=complex))
-    flag_prob: dict = field(default_factory=dict)
-    flag_rho: dict = field(default_factory=dict)
+    Returns K[cfg, n1, n2, n1', n2'] = M[cfg, n1, n2] M*[cfg, n1', n2'] G[n2, n2']
+    and each configuration's click pattern, where M holds the output Fock
+    amplitudes of ``_bs_maps`` (zero for n1 + n2 > 2) and G is the
+    Gaussian-averaged relative-phase factor between components that took a
+    different number of photons from node 2.
+    """
+    maps = _bs_maps(visibility)
+    cfgs = sorted({cfg for amps in maps.values() for cfg in amps})
+    index = {cfg: k for k, cfg in enumerate(cfgs)}
+    bs = np.zeros((len(cfgs), 3, 3), dtype=complex)
+    for (n1, n2), amps in maps.items():
+        for cfg, coef in amps.items():
+            bs[index[cfg], n1, n2] = coef
+    d = np.arange(3)
+    phase = np.exp(-0.5 * (sigma * (d[:, None] - d[None, :])) ** 2)
+    kernel = np.einsum("knm,klp,mp->knmlp", bs, bs.conj(), phase)
+    return kernel, [_pattern(cfg) for cfg in cfgs]
 
-    def add(self, weight: float, rho: np.ndarray, flags: tuple) -> None:
-        self.prob += weight
-        self.rho += rho
-        for f in flags:
-            self.flag_prob[f] = self.flag_prob.get(f, 0.0) + weight
-            self.flag_rho[f] = self.flag_rho.get(f, np.zeros((4, 4), dtype=complex)) + rho
+
+def _flag_classes(state: SpinPhotonState) -> tuple[list[frozenset], np.ndarray]:
+    """Sum a node's branches per set of side-band flag epochs.
+
+    Returns the classes and their densities rho[class, s, n, s', n'] =
+    sum over the class's branches of amps[s, n] amps*[s', n'].
+    """
+    groups: dict[frozenset, list[np.ndarray]] = {}
+    for br in state.branches:
+        groups.setdefault(frozenset(br.psb_epochs), []).append(br.amps)
+    classes = sorted(groups, key=sorted)
+    dens = []
+    for c in classes:
+        amps = np.array(groups[c])
+        dens.append(np.einsum("bsn,btm->sntm", amps, amps.conj()))
+    return classes, np.array(dens)
 
 
 @dataclass(frozen=True)
@@ -412,97 +457,90 @@ def interfere_and_herald(
 ) -> HeraldedLink:
     """Interfere two nodes' kept modes and condition on single-detector clicks.
 
+    Each node's branches are summed per flag class (its set of side-band
+    flag epochs); one contraction of the two nodes' class densities with the
+    beam-splitter/phase kernel gives the unnormalized two-spin matrix of
+    every output configuration for every pair of flag classes.  Coefficient
+    vectors over the configurations then apply the click patterns and dark
+    counts: a single click heralds its detector's sign (times the chance of
+    no dark count), no click heralds either sign through one dark count, and
+    clicks in both detectors are discarded.  Flagged class pairs are
+    rejected when tailored heralding is on.  Photon numbers above two in
+    total are truncated; their weight, from the nodes' photon-number
+    marginals, must stay below 1e-6.
+
     Returns herald probabilities per detector sign, the conditioned
     (normalized) two-spin states, rejected/discarded weights, and the
     side-band flag statistics used for tailored-heralding analysis.
     """
     if not np.allclose(link.node1.windows.zpl_window, link.node2.windows.zpl_window):
         raise PhotonicsError("nodes have mismatched detection windows")
-    maps = _bs_maps(link.visibility)
-    sigma = math.radians(link.phase_uncertainty_deg)
-    # Gaussian-averaged relative-phase factor between components that took a
-    # different number of photons from node 2.
-    phase_factor = {d: math.exp(-0.5 * (sigma * d) ** 2) for d in (0, 1, 2)}
-    p_dark = link.dark_rate_hz * link.zpl_window_ns * 1e-9
+    classes1, dens1 = _flag_classes(a)
+    classes2, dens2 = _flag_classes(b)
 
-    acc = {"+": _Accumulator(), "-": _Accumulator()}
-    p_rejected = 0.0
-    p_double = 0.0
-    dropped = 0.0
-
-    for br1 in a.branches:
-        for br2 in b.branches:
-            flagged = br1.j > 0 or br2.j > 0
-            flags = tuple(
-                sorted(
-                    {("node1", e) for e in br1.psb_epochs}
-                    | {("node2", e) for e in br2.psb_epochs}
-                )
-            )
-            # Spin amplitudes per photon-number pair.
-            # amps[s, n]: collect per output config, keyed by n2 for the
-            # phase average.
-            by_cfg: dict[tuple, dict[int, np.ndarray]] = {}
-            for n1 in range(3):
-                for n2 in range(3):
-                    spin_amp = np.outer(br1.amps[:, n1], br2.amps[:, n2]).ravel()
-                    if not np.any(spin_amp):
-                        continue
-                    if n1 + n2 > 2:
-                        dropped += float(np.sum(np.abs(spin_amp) ** 2))
-                        continue
-                    for cfg, coef in maps[(n1, n2)].items():
-                        slot = by_cfg.setdefault(cfg, {})
-                        slot[n2] = slot.get(n2, np.zeros(4, dtype=complex)) + coef * spin_amp
-            for cfg, by_n2 in by_cfg.items():
-                rho = np.zeros((4, 4), dtype=complex)
-                weight = 0.0
-                for n2a, va in by_n2.items():
-                    for n2b, vb in by_n2.items():
-                        g = phase_factor[abs(n2a - n2b)]
-                        rho += g * np.outer(va, vb.conj())
-                weight = float(np.trace(rho).real)
-                if weight <= 0.0:
-                    continue
-                pat = _pattern(cfg)
-                if pat == "both":
-                    p_double += weight
-                    continue
-                if pat == "none":
-                    # Only a dark count can herald here.
-                    w_dark = weight * p_dark * (1.0 - p_dark)
-                    for sign in ("+", "-"):
-                        if link.psb_rejection and flagged:
-                            p_rejected += w_dark
-                        else:
-                            acc[sign].add(w_dark, rho * p_dark * (1.0 - p_dark), flags)
-                    continue
-                w_herald = weight * (1.0 - p_dark)
-                if link.psb_rejection and flagged:
-                    p_rejected += w_herald
-                    continue
-                acc[pat].add(w_herald, rho * (1.0 - p_dark), flags)
-
+    # Truncated weight: both nodes' photon-number marginals, n1 + n2 > 2.
+    n_marg1 = np.einsum("xsnsn->n", dens1).real
+    n_marg2 = np.einsum("ysnsn->n", dens2).real
+    n = np.arange(3)
+    dropped = float(np.sum(np.outer(n_marg1, n_marg2)[n[:, None] + n[None, :] > 2]))
     if dropped > 1e-6:
         raise PhotonicsError(f"truncated photon weight {dropped:.2e} too large")
+
+    kernel, patterns = _interference_kernel(
+        link.visibility, math.radians(link.phase_uncertainty_deg)
+    )
+    # rho[x, y, cfg] over spins (s1 s2, s1' s2'), for node-1 class x, node-2 class y.
+    rho = np.einsum("knmlp,xanbl,ycmdp->xykacbd", kernel, dens1, dens2, optimize=True)
+    rho = rho.reshape(rho.shape[:3] + (4, 4))
+    weight = np.einsum("xykii->xyk", rho).real
+
+    p_dark = link.dark_rate_hz * link.zpl_window_ns * 1e-9
+    dark = p_dark * (1.0 - p_dark)
+    # Herald coefficient per sign (+, -) and configuration: one click in that
+    # detector and no dark count, or no click and one dark count.
+    coef = np.array(
+        [
+            [1.0 - p_dark if pat == sign else dark if pat == "none" else 0.0 for pat in patterns]
+            for sign in ("+", "-")
+        ]
+    )
+    heralded = np.einsum("sk,xykij->sxyij", coef, rho)
+    both = np.array([pat == "both" for pat in patterns])
+    p_double = float(np.sum(weight[:, :, both]))
+    # Class pairs whose herald-capable configurations carry weight record flags.
+    seen = np.sum(weight[:, :, ~both], axis=2) > 0.0
+
+    acc = np.zeros((2, 4, 4), dtype=complex)
+    flag_rho: dict[tuple, np.ndarray] = {}
+    p_rejected = 0.0
+    for x, c1 in enumerate(classes1):
+        for y, c2 in enumerate(classes2):
+            pair = heralded[:, x, y]
+            if link.psb_rejection and (c1 or c2):
+                p_rejected += float(np.trace(pair.sum(axis=0)).real)
+                continue
+            acc += pair
+            if seen[x, y]:
+                for f in [("node1", e) for e in c1] + [("node2", e) for e in c2]:
+                    flag_rho[f] = flag_rho.get(f, 0.0) + pair.sum(axis=0)
 
     def normalize(m: np.ndarray, p: float) -> QuantumState:
         return QuantumState((2, 2), ("q1", "q2"), m / p if p > 0 else np.eye(4) / 4.0)
 
+    p_plus, p_minus = (float(p) for p in np.einsum("sii->s", acc).real)
+    total = p_plus + p_minus
     flag_prob = {}
     flag_states = {}
-    total = acc["+"].prob + acc["-"].prob
-    for f in set(acc["+"].flag_prob) | set(acc["-"].flag_prob):
-        w = acc["+"].flag_prob.get(f, 0.0) + acc["-"].flag_prob.get(f, 0.0)
-        m = acc["+"].flag_rho.get(f, 0.0) + acc["-"].flag_rho.get(f, 0.0)
+    for f in sorted(flag_rho):
+        w = float(np.trace(flag_rho[f]).real)
         flag_prob[f] = w / total if total > 0 else 0.0
-        flag_states[f] = normalize(np.asarray(m), w)
+        flag_states[f] = normalize(flag_rho[f], w)
 
     return HeraldedLink(
-        p_plus=acc["+"].prob,
-        p_minus=acc["-"].prob,
-        rho_plus=normalize(acc["+"].rho, acc["+"].prob),
-        rho_minus=normalize(acc["-"].rho, acc["-"].prob),
+        p_plus=p_plus,
+        p_minus=p_minus,
+        rho_plus=normalize(acc[0], p_plus),
+        rho_minus=normalize(acc[1], p_minus),
         p_rejected=p_rejected,
         p_double=p_double,
         flag_prob=flag_prob,
@@ -546,7 +584,7 @@ def single_error_budget(link: LinkParams, source: str) -> float:
     """
     if source not in BUDGET_SOURCES:
         raise PhotonicsError(f"unknown error source {source!r}")
-    base = 1.0 - build_heralded(_idealized(link, set())).fidelity_avg()
+    base = 1.0 - build_heralded(link.protocol_only).fidelity_avg()
     if source == "alpha":
         return base
     with_src = 1.0 - build_heralded(_idealized(link, {source})).fidelity_avg()

@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from dataclasses import replace
 from pathlib import Path
 
@@ -7,7 +9,8 @@ import pytest
 
 from teleportsim import cli, harness
 
-SCENARIOS = Path(__file__).resolve().parents[1] / "src" / "teleportsim" / "scenarios"
+ROOT = Path(__file__).resolve().parents[1]
+SCENARIOS = ROOT / "src" / "teleportsim" / "scenarios"
 
 
 def test_config_round_trip():
@@ -242,3 +245,57 @@ def test_cli_rates_uncalibrated_window(tmp_path, capsys):
     assert rc == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "12 ns" in err[0]
+
+
+def _run_config(tmp_path, capsys, *lines):
+    path = tmp_path / "typed.cfg"
+    text = "scenario.name = typed\nscenario.mode = monte-carlo\nscenario.shots = 20\n"
+    path.write_text(text + "\n".join(lines) + "\n")
+    rc = cli.main(["run", str(path), "--out", str(tmp_path / "out")])
+    return rc, capsys.readouterr()
+
+
+def _one_error_line(captured) -> str:
+    err = captured.err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+def test_scenario_name_stays_text(tmp_path, capsys):
+    # A name that looks like a number keeps its digits and runs.
+    rc, captured = _run_config(tmp_path, capsys, "scenario.name = 007")
+    assert rc == 0, captured.err
+    assert harness.load_scenario(tmp_path / "typed.cfg").name == "007"
+    assert (tmp_path / "out" / "007.summary.json").exists()
+
+
+def test_scenario_fractional_shots_rejected(tmp_path, capsys):
+    rc, captured = _run_config(tmp_path, capsys, "scenario.shots = 2.5")
+    assert rc == 2
+    assert "scenario.shots" in _one_error_line(captured)
+
+
+def test_scenario_text_timeout_rejected(tmp_path, capsys):
+    rc, captured = _run_config(tmp_path, capsys, "protocol.timeout = abc")
+    assert rc == 2
+    assert "protocol.timeout" in _one_error_line(captured)
+
+
+def test_scenario_text_seed_message(tmp_path, capsys):
+    rc, captured = _run_config(tmp_path, capsys, "scenario.seed = x")
+    assert rc == 2
+    line = _one_error_line(captured)
+    assert "scenario.seed" in line and "'x'" in line and "np." not in line
+
+
+def test_module_entry_point_help():
+    env = {"PYTHONPATH": str(ROOT / "src"), "PATH": "/usr/bin:/bin"}
+    proc = subprocess.run(
+        [sys.executable, "-m", "teleportsim", "--help"],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "usage: teleportsim" in proc.stdout

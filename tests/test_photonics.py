@@ -1,4 +1,5 @@
 import gc
+import tracemalloc
 import weakref
 from dataclasses import replace
 
@@ -12,6 +13,7 @@ from teleportsim.photonics import (
     NodeOptics,
     branch_emission,
     build_heralded,
+    calibrate_eta_zpl,
     detection_probability,
     estimate_error_probs,
     herald_correlations,
@@ -232,6 +234,51 @@ def test_detection_probability_calibration(link_ab):
     assert detection_probability(link_ab.node2) == pytest.approx(5.1e-4, rel=1e-6)
 
 
+def test_eta_calibration_hits_target(link_ab, link_bc):
+    # The closed-form root reproduces the target on the production nodes and
+    # on random ones, at targets across the reachable range.
+    rng = np.random.default_rng(11)
+    cases = [
+        (node, target)
+        for link, targets in ((link_ab, params.LINK_AB), (link_bc, params.LINK_BC))
+        for node, target in zip((link.node1, link.node2), targets.detection_prob)
+    ]
+    for _ in range(20):
+        node = _random_node(rng)
+        reach = detection_probability(replace(node, eta_zpl=1.0))
+        cases.append((node, rng.uniform(0.01, 1.0) * reach))
+    for node, target in cases:
+        eta = calibrate_eta_zpl(node, target).eta_zpl
+        assert 0.0 <= eta <= 1.0
+        got = detection_probability(replace(node, eta_zpl=eta))
+        assert got == pytest.approx(target, rel=1e-12, abs=0.0)
+
+
+def test_eta_calibration_unreachable_target(link_ab):
+    reach = detection_probability(replace(link_ab.node1, eta_zpl=1.0))
+    for target in (1.01 * reach, -1e-6):
+        with pytest.raises(photonics.PhotonicsError, match="unreachable"):
+            calibrate_eta_zpl(link_ab.node1, target)
+
+
+def test_budget_heralds_protocol_only_link_once(link_ab, monkeypatch):
+    # Five budget rows and the combined row need six heralds: the
+    # protocol-only link is shared by every row.
+    calls = []
+    herald = photonics.interfere_and_herald
+
+    def counting(*args):
+        calls.append(args[2])
+        return herald(*args)
+
+    monkeypatch.setattr(photonics, "interfere_and_herald", counting)
+    link = replace(link_ab)  # a new object: nothing cached yet
+    rows = {s: single_error_budget(link, s) for s in photonics.BUDGET_SOURCES}
+    photonics.combined_infidelity(link)
+    assert len(calls) == 6
+    assert rows["alpha"] == 1.0 - build_heralded(link.protocol_only).fidelity_avg()
+
+
 def test_correlations_z_basis(link_ab):
     hl = build_heralded(link_ab)
     z = herald_correlations(hl, "z")
@@ -321,7 +368,9 @@ def test_fock_oracle_agreement_random():
         assert np.allclose(ref["rho_plus"], hl.rho_plus.matrix * hl.p_plus, atol=1e-9)
         assert np.allclose(ref["rho_minus"], hl.rho_minus.matrix * hl.p_minus, atol=1e-9)
         assert ref["p_rejected"] == pytest.approx(hl.p_rejected, abs=1e-9)
+        assert ref["p_double"] == pytest.approx(hl.p_double, abs=1e-9)
         if not link.psb_rejection:
+            assert set(hl.flag_prob) == set(ref["flags"]), trial
             for key, val in hl.flag_prob.items():
                 got = ref["flags"].get(key, 0.0) / (ref["p_plus"] + ref["p_minus"])
                 assert got == pytest.approx(val, abs=1e-9)
@@ -339,6 +388,28 @@ def test_uncalibrated_window_rejected():
     # An empty table keeps the link's single visibility at every window.
     ideal = params.ideal_link_config()
     assert params.build_link(ideal, window_ns=12.0).visibility == ideal.visibility
+
+
+def test_link_keeps_no_emitter_grid():
+    # The emitter's grid solution is only needed to integrate the windows; a
+    # built link drops it, so the link cache holds well under 1 MB per link.
+    cfg = params.ideal_link_config("no-grid")
+    for window in (15.0, 10.0):
+        link = params.build_link(cfg, window_ns=window)
+        assert link.node1.emission.solution is None
+        assert link.node2.emission.solution is None
+    n = 3
+    tracemalloc.start()
+    try:
+        gc.collect()
+        before = tracemalloc.get_traced_memory()[0]
+        links = [params.build_link(replace(cfg, name=f"no-grid-{i}")) for i in range(n)]
+        gc.collect()
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert len(links) == n
+    assert retained / n < 1 << 20
 
 
 def test_heralded_link_collectable(link_ab):
