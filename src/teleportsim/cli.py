@@ -51,7 +51,7 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _dispatch(args)
-    except (harness.HarnessError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
@@ -104,7 +104,12 @@ def _dispatch(args: argparse.Namespace) -> int:
         return 0
 
     if args.command == "rates":
-        windows = tuple(float(w) for w in str(args.windows).split(","))
+        try:
+            windows = tuple(float(w) for w in str(args.windows).split(","))
+        except ValueError:
+            raise harness.HarnessError(
+                f"--windows: expected comma-separated numbers, got {args.windows!r}"
+            ) from None
         rows = harness.window_rate_sweep(scenario, windows)
         path = out / f"{scenario.name}.rates.json"
         path.write_text(json.dumps(rows, sort_keys=True, indent=2) + "\n")

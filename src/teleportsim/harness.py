@@ -16,6 +16,7 @@ import json
 import math
 import zlib
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 from pathlib import Path
 from typing import get_type_hints
 
@@ -152,6 +153,11 @@ class Scenario:
     event_overhead_s: float = defaults.EVENT_OVERHEAD_S
 
     def __post_init__(self) -> None:
+        # The name becomes the stem of every report file in the output directory.
+        if self.name in ("", ".", "..") or any(sep in self.name for sep in "/\\"):
+            raise HarnessError(f"scenario.name {self.name!r} is not a plain file name")
+        if not 0 <= self.seed < 2**64:
+            raise HarnessError(f"scenario.seed {self.seed} outside [0, 2**64)")
         if self.mode not in ("analytic", "monte-carlo"):
             raise HarnessError(f"unknown run mode {self.mode!r}")
         if self.mode == "monte-carlo" and self.shots < 1:
@@ -209,7 +215,9 @@ class Scenario:
             "rate.event_overhead_s": self.event_overhead_s,
         }
 
+    @cached_property
     def config(self) -> protocol.ProtocolConfig:
+        """The protocol configuration, built once per scenario."""
         return protocol.make_config(
             mode=self.protocol_mode,
             window_ns=self.window_ns,
@@ -227,9 +235,14 @@ def load_scenario(path: str | Path) -> Scenario:
 
 
 def shot_rng(seed: int, scenario: str, shot: int) -> np.random.Generator:
-    """Counter-based stream for one shot; independent of execution order."""
+    """Counter-based stream for one shot; independent of execution order.
+
+    The shot index sits in counter word 1 and numpy counts the stream's
+    4-draw blocks in word 0, so every shot owns 2**64 blocks of its own.
+    """
     scen_key = zlib.crc32(scenario.encode())
-    bits = np.random.Philox(counter=[shot, 0, 0, 0], key=[seed, scen_key])
+    key = np.array([seed, scen_key], dtype=np.uint64)
+    bits = np.random.Philox(counter=[0, shot, 0, 0], key=key)
     return np.random.Generator(bits)
 
 
@@ -279,9 +292,10 @@ def estimate_rate(model: RateModel) -> float:
     if p_t <= 0:
         raise HarnessError("second link can never herald within the timeout")
     mean_tries = (1.0 - (1.0 - model.p_bc) ** model.timeout) / model.p_bc
-    qs = np.arange(1, model.timeout + 1)
-    pmf = model.p_bc * (1.0 - model.p_bc) ** (qs - 1)
-    q_mean_success = float((qs * pmf).sum() / pmf.sum())
+    mass, (q_sum,) = protocol.truncated_geometric_sums(
+        model.p_bc, model.timeout, lambda qs: qs[:, None]
+    )
+    q_mean_success = q_sum / mass
     t_cycle = (1.0 / model.p_ab) * tau + model.cycle_overhead_s + mean_tries * tau
     t_prep = t_cycle / p_t + q_mean_success * tau + model.bsm_overhead_s
     t_bob = t_prep / model.bob_accept
@@ -290,7 +304,7 @@ def estimate_rate(model: RateModel) -> float:
 
 
 def rate_model_for(scenario: Scenario) -> RateModel:
-    cfg = scenario.config()
+    cfg = scenario.config
     hl_ab = photonics.build_heralded(cfg.link_ab)
     hl_bc = photonics.build_heralded(cfg.link_bc)
     res = protocol.run_teleportation_analytic(cfg, "+z")
@@ -322,22 +336,21 @@ class ScenarioReport:
 
 
 def _analytic_results(scenario: Scenario) -> dict:
-    cfg = scenario.config()
-    per_state = protocol.six_state_fidelities(cfg)
-    res = protocol.run_teleportation_analytic(cfg, "+z")
-    out = {
-        "fidelities": {k: float(v) for k, v in per_state.items()},
-        "average_fidelity": float(np.mean(list(per_state.values()))),
+    cfg = scenario.config
+    per_state = {w: protocol.run_teleportation_analytic(cfg, w) for w in CARDINAL_STATES}
+    res = per_state["+z"]
+    return {
+        "fidelities": {k: float(r.fidelity) for k, r in per_state.items()},
+        "average_fidelity": float(np.mean([r.fidelity for r in per_state.values()])),
         "teleporter_fidelity": float(res.swap_fidelity),
         "stored_teleporter_fidelity": float(res.teleporter_fidelity),
         "accept_probability": float(res.accept_probability),
         "mean_attempts_bc": float(res.mean_attempts_bc),
     }
-    return out
 
 
 def _monte_carlo_results(scenario: Scenario) -> dict:
-    cfg = scenario.config()
+    cfg = scenario.config
     states = list(CARDINAL_STATES)
     sums: dict[str, list[float]] = {s: [] for s in states}
     aborts: dict[str, int] = {}
@@ -386,7 +399,7 @@ def teleport_budget_table(scenario: Scenario) -> dict:
     Link noise stays on throughout; each row is the infidelity increase over
     the links-only protocol when that single source is restored.
     """
-    base_cfg = scenario.config()
+    base_cfg = scenario.config
     # The links-only protocol: its ideal readouts accept every pattern, which
     # moves the acceptance probability but no fidelity.
     base = protocol.noiseless_config(
@@ -434,7 +447,7 @@ def improvement_ladder(scenario: Scenario) -> list[dict]:
     rows = []
     for name, toggles in steps:
         scen = replace(scenario, **toggles)
-        fid = protocol.average_fidelity(scen.config())
+        fid = protocol.average_fidelity(scen.config)
         rate = estimate_rate(rate_model_for(scen))
         rows.append({"step": name, "average_fidelity": float(fid), "rate_hz": float(rate)})
     return rows
@@ -523,11 +536,11 @@ def run_scenario(
             "teleport": teleport_budget_table(scenario),
         }
     if "bsm_breakdown" in scenario.outputs:
-        table = protocol.per_bsm_outcome_fidelity(scenario.config())
+        table = protocol.per_bsm_outcome_fidelity(scenario.config)
         report.results["bsm_breakdown"] = {f"{m}{c}": float(v) for (m, c), v in table.items()}
     if "no_feedforward" in scenario.outputs:
         report.results["no_feedforward_fidelity"] = float(
-            protocol.no_feedforward_fidelity(scenario.config())
+            protocol.no_feedforward_fidelity(scenario.config)
         )
     if "correlations" in scenario.outputs:
         report.results["correlations"] = correlation_tables("AB", scenario.window_ns)
@@ -543,82 +556,64 @@ def run_scenario(
 
 
 def _write_reports(report: ScenarioReport, out: Path) -> None:
-    scenario = report.scenario
-    base = out / scenario.name
+    scenario, res = report.scenario, report.results
+
+    def write(kind: str, text: str = "", header=(), rows=()) -> None:
+        path = out / f"{scenario.name}.{kind}"
+        with path.open("w", newline="") as fh:
+            fh.write(text)
+            if header:
+                writer = csv.writer(fh)
+                writer.writerow(header)
+                writer.writerows(rows)
+        report.files.append(path)
+
     summary = {
         "scenario": scenario.name,
         "version": __version__,
         "parameters": {k: _jsonable(v) for k, v in scenario.to_values().items()},
-        "results": _jsonable(report.results),
+        "results": _jsonable(res),
     }
-    summary_path = base.with_suffix(".summary.json")
-    summary_path.write_text(json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
-    report.files.append(summary_path)
-
-    effective = base.with_suffix(".effective.cfg")
-    effective.write_text(emit_config_text(scenario.to_values()))
-    report.files.append(effective)
-
-    if "fidelities" in report.results:
-        path = base.with_suffix(".fidelities.csv")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["state", "fidelity"])
-            for state in sorted(report.results["fidelities"]):
-                writer.writerow([state, f"{report.results['fidelities'][state]:.6f}"])
-            writer.writerow(["average", f"{report.results['average_fidelity']:.6f}"])
-        report.files.append(path)
-
-    if "error_budget" in report.results:
-        path = base.with_suffix(".error_budget.csv")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["table", "source", "infidelity"])
-            for table, rows in sorted(report.results["error_budget"].items()):
-                for src in sorted(rows):
-                    writer.writerow([table, src, f"{rows[src]:.6f}"])
-        report.files.append(path)
-
-    if "correlations" in report.results:
-        path = base.with_suffix(".correlations.csv")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["table", "outcome", "probability"])
-            for table, dist in sorted(report.results["correlations"].items()):
-                for outcome in sorted(dist):
-                    writer.writerow([table, outcome, f"{dist[outcome]:.6f}"])
-        report.files.append(path)
-
-    if "bsm_breakdown" in report.results:
-        path = base.with_suffix(".bsm_breakdown.csv")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["outcome_memory_comm", "average_fidelity"])
-            for outcome in sorted(report.results["bsm_breakdown"]):
-                writer.writerow([outcome, f"{report.results['bsm_breakdown'][outcome]:.6f}"])
-        report.files.append(path)
-
-    if "bar_curves" in report.results:
-        path = base.with_suffix(".bar_curves.csv")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["node", "repetitions", "fidelity", "accepted_fraction"])
-            for node, curves in sorted(report.results["bar_curves"].items()):
-                for i, (f, a) in enumerate(
-                    zip(curves["fidelity"], curves["accepted_fraction"]), start=1
-                ):
-                    writer.writerow([node, i, f"{f:.6f}", f"{a:.6f}"])
-        report.files.append(path)
-
-    if "memory_curves" in report.results:
-        path = base.with_suffix(".memory_curves.csv")
-        with path.open("w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["sequence", "attempts", "bloch_length"])
-            for name, data in sorted(report.results["memory_curves"].items()):
-                for n, b in zip(data["attempts"], data["bloch_length"]):
-                    writer.writerow([name, f"{n:.1f}", f"{b:.6f}"])
-        report.files.append(path)
+    write("summary.json", json.dumps(summary, sort_keys=True, indent=2, allow_nan=False) + "\n")
+    write("effective.cfg", emit_config_text(scenario.to_values()))
+    if "fidelities" in res:
+        fids = res["fidelities"]
+        rows = [[s, f"{fids[s]:.6f}"] for s in sorted(fids)]
+        rows.append(["average", f"{res['average_fidelity']:.6f}"])
+        write("fidelities.csv", header=["state", "fidelity"], rows=rows)
+    if "error_budget" in res:
+        rows = [
+            [table, src, f"{budget[src]:.6f}"]
+            for table, budget in sorted(res["error_budget"].items())
+            for src in sorted(budget)
+        ]
+        write("error_budget.csv", header=["table", "source", "infidelity"], rows=rows)
+    if "correlations" in res:
+        rows = [
+            [table, outcome, f"{dist[outcome]:.6f}"]
+            for table, dist in sorted(res["correlations"].items())
+            for outcome in sorted(dist)
+        ]
+        write("correlations.csv", header=["table", "outcome", "probability"], rows=rows)
+    if "bsm_breakdown" in res:
+        table = res["bsm_breakdown"]
+        rows = [[outcome, f"{table[outcome]:.6f}"] for outcome in sorted(table)]
+        write("bsm_breakdown.csv", header=["outcome_memory_comm", "average_fidelity"], rows=rows)
+    if "bar_curves" in res:
+        rows = [
+            [node, i, f"{f:.6f}", f"{a:.6f}"]
+            for node, curves in sorted(res["bar_curves"].items())
+            for i, (f, a) in enumerate(zip(curves["fidelity"], curves["accepted_fraction"]), 1)
+        ]
+        header = ["node", "repetitions", "fidelity", "accepted_fraction"]
+        write("bar_curves.csv", header=header, rows=rows)
+    if "memory_curves" in res:
+        rows = [
+            [name, f"{n:.1f}", f"{b:.6f}"]
+            for name, data in sorted(res["memory_curves"].items())
+            for n, b in zip(data["attempts"], data["bloch_length"])
+        ]
+        write("memory_curves.csv", header=["sequence", "attempts", "bloch_length"], rows=rows)
 
 
 def _jsonable(value):
@@ -638,6 +633,6 @@ def window_rate_sweep(scenario: Scenario, windows: tuple[float, ...]) -> list[di
     for w in windows:
         scen = replace(scenario, window_ns=float(w))
         rate = estimate_rate(rate_model_for(scen))
-        fid = protocol.average_fidelity(scen.config())
+        fid = protocol.average_fidelity(scen.config)
         rows.append({"window_ns": float(w), "rate_hz": float(rate), "average_fidelity": float(fid)})
     return rows

@@ -7,8 +7,12 @@ measurement at Bob (entanglement swapping), feed the outcome forward to
 Charlie, store at Charlie, prepare an input state, perform Charlie's Bell
 measurement, and apply Alice's conditional correction.
 
-Two execution modes share one noise model: the analytic mode averages exactly
-over Bell outcomes, herald signs and the attempt-number distribution; the
+Two execution modes share one noise model.  The analytic mode averages
+exactly over Bell outcomes, herald signs and the attempt-number
+distribution: it prepares the teleporter once per configuration
+(``ProtocolConfig.teleporter``) and sends every input through it.  Each
+Bell measurement is one contraction giving all four outcomes, readout
+errors one 4x4 confusion matrix, and the acceptance policy a mask.  The
 Monte Carlo mode runs the full sequence shot by shot as three node state
 machines exchanging classical messages over an in-process bus.
 """
@@ -36,6 +40,7 @@ from .hilbert import (
     fidelity,
     partial_trace,
     rotation_z,
+    state_from_vector,
     tensor,
 )
 from .photonics import HeraldedLink, LinkParams, build_heralded
@@ -47,6 +52,7 @@ from .spin_noise import (
     dephasing_from_factor,
     depolarizing,
     ionization_event,
+    prepare_input_state,
     single_readout_fidelities,
 )
 
@@ -56,14 +62,13 @@ class ProtocolError(ValueError):
 
 
 # Bell basis |B_mc> = (Z^m X^c (x) 1) |Phi+>, first qubit carries the indices.
-def _bell_vector(m: int, c: int) -> np.ndarray:
-    v = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
-    op = np.linalg.matrix_power(PAULI_Z, m) @ np.linalg.matrix_power(PAULI_X, c)
-    return np.kron(op, np.eye(2)) @ v
-
-
+# As a matrix over (first qubit, second qubit) it is Z^m X^c / sqrt(2).
 BELL_OUTCOMES = tuple((m, c) for m in (0, 1) for c in (0, 1))
-BELL_VECTORS = {mc: _bell_vector(*mc) for mc in BELL_OUTCOMES}
+_BELL_MATRICES = np.stack([
+    np.linalg.matrix_power(PAULI_Z, m) @ np.linalg.matrix_power(PAULI_X, c) / math.sqrt(2.0)
+    for m, c in BELL_OUTCOMES
+])
+BELL_VECTORS = {mc: b.ravel() for mc, b in zip(BELL_OUTCOMES, _BELL_MATRICES)}
 
 
 # Storage frames: the compiled swap stores the communication-qubit state on
@@ -84,16 +89,12 @@ def _psi_sign_vector(sign: int) -> np.ndarray:
     return v
 
 
-def _entangled_to_unitary(vec: np.ndarray) -> np.ndarray:
-    """For a maximally entangled |chi> = (1 (x) V)|Phi+>, recover V."""
-    x = vec.reshape(2, 2) * math.sqrt(2.0)
-    # |chi> = (1 (x) V)|Phi+>  <=>  X[a, b] = V[b, a] / ... : X = V^T / 1
-    v = x.T
-    # Normalize the residual global phase/scale.
-    scale = np.sqrt(np.abs(np.linalg.det(v)))
-    if scale < 1e-12:
-        raise ProtocolError("state is not maximally entangled")
-    return v / np.linalg.det(v) ** 0.5
+def _undo(w: np.ndarray, what: str) -> np.ndarray:
+    """The inverse of W, a multiple of a unitary, rescaled to determinant 1."""
+    det = np.linalg.det(w)
+    if abs(det) < 1e-24:
+        raise ProtocolError(f"vanishing Bell projection for {what}")
+    return (w / det**0.5).conj().T
 
 
 def swap_correction(
@@ -109,13 +110,10 @@ def swap_correction(
     psi1 = (np.kron(np.eye(2), rb) @ _psi_sign_vector(sign_ab)).reshape(2, 2)
     psi2 = _psi_sign_vector(sign_bc).reshape(2, 2)
     bell = BELL_VECTORS[(m, c)].reshape(2, 2)
-    # <B|_{M,CB} (psi1_{A,M} psi2_{CB,CC}) : chi[a, cc] = sum psi1[a,m] B*[m,k] psi2[k,cc]
+    # <B|_{M,CB} (psi1_{A,M} psi2_{CB,CC}) : chi[a, cc] = sum psi1[a,m] B*[m,k] psi2[k,cc],
+    # the state (1 (x) chi^T)|Phi+> up to scale.
     chi = psi1 @ bell.conj() @ psi2
-    norm = np.linalg.norm(chi)
-    if norm < 1e-12:
-        raise ProtocolError("vanishing Bell projection for ideal inputs")
-    v = _entangled_to_unitary(chi.ravel() / norm)
-    return v.conj().T
+    return _undo(chi.T, "ideal inputs")
 
 
 def teleport_correction(m: int, c: int, frame_charlie: np.ndarray | None = None) -> np.ndarray:
@@ -125,12 +123,7 @@ def teleport_correction(m: int, c: int, frame_charlie: np.ndarray | None = None)
     bell = BELL_VECTORS[(m, c)].reshape(2, 2)
     # Teleporting phi_in through (1 (x) Rc)|Phi+> with <B|_{MC, in}:
     # alice[a] = sum_m phi[a, m] B*[m, k] phi_in[k]  => W = phi @ bell.conj()
-    w = phi @ bell.conj()
-    scale = np.sqrt(np.abs(np.linalg.det(w)))
-    if scale < 1e-12:
-        raise ProtocolError("vanishing Bell projection for the ideal teleporter")
-    w = w / np.linalg.det(w) ** 0.5
-    return w.conj().T
+    return _undo(phi @ bell.conj(), "the ideal teleporter")
 
 
 def phase_correction(n: int, phi_a: float) -> np.ndarray:
@@ -145,6 +138,12 @@ def rephase_correction(q: int, phi_b: float) -> np.ndarray:
     if q < 0:
         raise ProtocolError("attempt count must be nonnegative")
     return rotation_z(-q * phi_b)
+
+
+def _assignment(fidelities: tuple[float, float]) -> np.ndarray:
+    """P(read | true) of one qubit's readout, rows read, columns true."""
+    f0, f1 = fidelities
+    return np.array([[f0, 1.0 - f1], [1.0 - f0, f1]])
 
 
 @dataclass(frozen=True)
@@ -168,12 +167,15 @@ class BsmModel:
             return c == 0 and m == 0
         return True
 
-    def confusion(self, true_m: int, true_c: int, out_m: int, out_c: int) -> float:
-        fm0, fm1 = self.memory_fidelities
-        fc0, fc1 = self.comm_fidelities
-        pm = (fm0 if out_m == 0 else 1 - fm0) if true_m == 0 else (fm1 if out_m == 1 else 1 - fm1)
-        pc = (fc0 if out_c == 0 else 1 - fc0) if true_c == 0 else (fc1 if out_c == 1 else 1 - fc1)
-        return pm * pc
+    @property
+    def accepted(self) -> np.ndarray:
+        """Mask over ``BELL_OUTCOMES``: the assigned outcomes the policy keeps."""
+        return np.array([self.accepts(*mc) for mc in BELL_OUTCOMES])
+
+    @property
+    def confusion_matrix(self) -> np.ndarray:
+        """P(assigned | true) over ``BELL_OUTCOMES``, rows assigned, columns true."""
+        return np.kron(_assignment(self.memory_fidelities), _assignment(self.comm_fidelities))
 
     @property
     def acceptance_probability(self) -> float:
@@ -204,7 +206,6 @@ class ProtocolConfig:
     attempt_period_s: float = defaults.ATTEMPT_PERIOD_S
     alice_total_overhead_s: float = defaults.FIXED_OVERHEAD_ALICE_S
     alice_readout: tuple[float, float] = defaults.COMM_READOUT["alice"]
-    feed_forward: bool = True
     frame_bob: str = "computational"
     frame_charlie: str = "hadamard"
 
@@ -230,17 +231,6 @@ class ProtocolConfig:
     def teleporter(self) -> Teleporter:
         """The input-independent teleporter, prepared once per configuration."""
         return _prepare_teleporter(self)
-
-
-def _unconditional_bsm(bsm: BsmModel, readout: ReadoutParams) -> BsmModel:
-    """Deterministic-measurement variant: accept everything, first readout only."""
-    return replace(
-        bsm,
-        policy="all",
-        accept_fraction=1.0,
-        cr_pass=1.0,
-        memory_fidelities=single_readout_fidelities(readout),
-    )
 
 
 def noiseless_config(
@@ -338,7 +328,11 @@ def make_config(
 
     charlie = bsm("charlie")
     if mode == "unconditional":
-        charlie = _unconditional_bsm(charlie, readout["charlie"])
+        # Deterministic measurement: accept everything, first readout only.
+        charlie = replace(
+            charlie, policy="all", accept_fraction=1.0, cr_pass=1.0,
+            memory_fidelities=single_readout_fidelities(readout["charlie"]),
+        )
 
     ae = defaults.DECOUPLING_FITS["alice"]["eigen"]
     asup = defaults.DECOUPLING_FITS["alice"]["super"]
@@ -463,35 +457,28 @@ def generate_link(
     return sign, (hl.rho_plus if sign > 0 else hl.rho_minus), n
 
 
-def _confused_outcomes(
-    true_states: dict[tuple[int, int], QuantumState], bsm: BsmModel
-) -> dict[tuple[int, int], QuantumState]:
-    """Mix true Bell-outcome branches into assigned-outcome branches."""
-    out: dict[tuple[int, int], np.ndarray] = {}
-    ref = next(iter(true_states.values()))
-    for assigned in BELL_OUTCOMES:
-        acc = np.zeros_like(ref.matrix)
-        for true, state in true_states.items():
-            w = bsm.confusion(true[0], true[1], assigned[0], assigned[1])
-            if w > 0:
-                acc = acc + w * state.matrix
-        out[assigned] = acc
-    return {
-        k: QuantumState(ref.dims, ref.labels, m, float(np.trace(m).real))
-        for k, m in out.items()
-    }
+def _bell_outcomes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
+    """Unnormalized outer states for the four true Bell outcomes on the inner pair.
+
+    ``left`` is a density matrix on (outer, inner) and ``right`` one on
+    (inner, outer'); the inner subsystems are qubits, the outer ones of any
+    dimension (1 when absent).  Returns <B_k| left (x) right |B_k> on (outer,
+    outer') for every k in ``BELL_OUTCOMES`` order, shape (..., 4, d, d);
+    leading axes of the two inputs broadcast.
+    """
+    da, db = left.shape[-1] // 2, right.shape[-1] // 2
+    lt = left.reshape(*left.shape[:-2], da, 2, da, 2)
+    rt = right.reshape(*right.shape[:-2], 2, db, 2, db)
+    out = np.einsum(
+        "kij,...aicx,...jbyd,kxy->...kabcd", _BELL_MATRICES.conj(), lt, rt, _BELL_MATRICES
+    )
+    return out.reshape(*out.shape[:-5], 4, da * db, da * db)
 
 
-def _bell_project(joint: QuantumState, pair: tuple[str, str]) -> dict:
-    """Unnormalized post-measurement branches for all four Bell outcomes."""
-    keep = [l for l in joint.labels if l not in pair]
-    out = {}
-    for mc in BELL_OUTCOMES:
-        proj = np.outer(BELL_VECTORS[mc], BELL_VECTORS[mc].conj())
-        mat = apply_operator(joint, proj, list(pair))
-        post = QuantumState(joint.dims, joint.labels, mat, float(np.trace(mat).real))
-        out[mc] = partial_trace(post, keep)
-    return out
+def _on_second(kraus, rho: np.ndarray) -> np.ndarray:
+    """Kraus map on the second qubit of (a stack of) two-qubit density matrices."""
+    ops = [np.kron(np.eye(2), k) for k in kraus]
+    return sum(k @ rho @ k.conj().T for k in ops)
 
 
 def entanglement_swap(
@@ -507,16 +494,12 @@ def entanglement_swap(
     probability and the corrected far-near state; with ideal inputs and an
     ideal measurement every outcome yields |Phi+>.
     """
-    a = rho_ab.relabeled({rho_ab.labels[0]: "far", rho_ab.labels[1]: "mid_mem"})
-    b = rho_bc.relabeled({rho_bc.labels[0]: "mid_comm", rho_bc.labels[1]: "near"})
-    joint = tensor(a, b)
-    branches = _bell_project(joint, ("mid_mem", "mid_comm"))
-    assigned = _confused_outcomes(branches, bsm)
+    true = _bell_outcomes(rho_ab.matrix, rho_bc.matrix)
     out = []
-    for mc, state in assigned.items():
-        u = swap_correction(mc[0], mc[1], *signs)
-        corrected = apply_unitary(state, u, ["near"])
-        out.append((mc, corrected.weight, corrected.normalized()))
+    for mc, state in zip(BELL_OUTCOMES, np.einsum("jk,kab->jab", bsm.confusion_matrix, true)):
+        corrected = _on_second([swap_correction(mc[0], mc[1], *signs)], state)
+        weight = float(np.trace(corrected).real)
+        out.append((mc, weight, QuantumState((2, 2), ("far", "near"), corrected / weight)))
     return out
 
 
@@ -531,66 +514,80 @@ class _QAverages:
     alice1: np.ndarray  # E[c_i(t(q)) lambda(q)]
 
 
+_ATTEMPT_BLOCK = 4096
+
+
+def truncated_geometric_sums(p: float, timeout: int, terms) -> tuple[float, np.ndarray]:
+    """Sums of p (1 - p)^(q - 1) terms(q) over the attempt count q = 1..timeout.
+
+    ``terms`` maps an array of attempt counts to one row per count.  Returns
+    the probability mass of the truncated distribution and the weighted sum
+    of the rows.  Attempts are summed in fixed blocks, so memory does not
+    grow with the timeout, and the sum stops once the mass left after a
+    block, (1 - p)^q, is below 1e-18 of the mass summed.
+    """
+    if not 0.0 < p <= 1.0:
+        raise ProtocolError(f"per-attempt success probability {p} outside (0, 1]")
+    if p == 1.0:
+        return 1.0, np.asarray(terms(np.ones(1)))[0]
+    log1m = math.log1p(-p)
+    mass, acc = 0.0, 0.0
+    for start in range(1, timeout + 1, _ATTEMPT_BLOCK):
+        qs = np.arange(start, min(start + _ATTEMPT_BLOCK, timeout + 1), dtype=float)
+        pmf = p * np.exp((qs - 1.0) * log1m)
+        mass += pmf.sum()
+        acc = acc + pmf @ terms(qs)
+        if math.exp(qs[-1] * log1m) < 1e-18 * mass:
+            break
+    return float(mass), acc
+
+
 def _q_averages(cfg: ProtocolConfig) -> _QAverages:
-    p = build_heralded(cfg.link_bc).p_success
-    qs = np.arange(1, cfg.timeout + 1, dtype=float)
-    log1m = math.log1p(-p) if p < 1.0 else -np.inf
-    pmf = np.exp(np.clip((qs - 1) * log1m, -700, 0)) * p
-    total = pmf.sum()
-    if total <= 0:
-        raise ProtocolError("second link can never herald")
-    pmf = pmf / total
-    lam = cfg.memory_fit.decay_factor(qs)
-    t_alice = 2.0 * qs * cfg.attempt_period_s + cfg.alice_total_overhead_s
-    weights = decoupling_weights(t_alice, cfg.alice_eigen_fit, cfg.alice_super_fit)
+    def terms(qs: np.ndarray) -> np.ndarray:
+        lam = cfg.memory_fit.decay_factor(qs)
+        t_alice = 2.0 * qs * cfg.attempt_period_s + cfg.alice_total_overhead_s
+        weights = decoupling_weights(t_alice, cfg.alice_eigen_fit, cfg.alice_super_fit)
+        return np.column_stack([qs, lam, weights, lam[:, None] * weights])
+
+    mass, sums = truncated_geometric_sums(build_heralded(cfg.link_bc).p_success, cfg.timeout, terms)
+    sums = sums / mass
     return _QAverages(
-        p_success=total,
-        mean_attempts=float((qs * pmf).sum()),
-        dephasing=float((lam * pmf).sum()),
-        alice0=pmf @ weights,
-        alice1=(pmf * lam) @ weights,
+        p_success=mass,
+        mean_attempts=float(sums[0]),
+        dephasing=float(sums[1]),
+        alice0=sums[2:6],
+        alice1=sums[6:10],
     )
 
 
-def _link_states(hl: HeraldedLink) -> dict[int, QuantumState]:
-    return {+1: hl.rho_plus, -1: hl.rho_minus}
+_SIGNS = (+1, -1)
 
 
-def _sign_probs(hl: HeraldedLink) -> dict[int, float]:
-    return {+1: hl.p_plus / hl.p_success, -1: hl.p_minus / hl.p_success}
+def _bob_stage(cfg: ProtocolConfig) -> np.ndarray:
+    """Unnormalized Alice-Charlie states after Bob's swap, (2, 4, 4).
 
-
-def _bob_stage(cfg: ProtocolConfig, lam: float) -> QuantumState:
-    """Unnormalized Alice-Charlie state after Bob's swap, summed over branches.
-
-    Sums over herald signs and the Bob outcomes the policy accepts, each
-    weighted by its probability, after Charlie's frame correction.  ``lam``
-    is the memory dephasing factor; the output is affine in it.
+    Stacked at memory dephasing factor 0 and 1 (the state is affine in it),
+    each summed over herald signs and the Bob outcomes the policy accepts,
+    weighted by their probabilities, after Charlie's frame correction.
     """
-    hl_ab = build_heralded(cfg.link_ab)
-    hl_bc = build_heralded(cfg.link_bc)
-    acc = np.zeros((4, 4), dtype=complex)
-    for s1, p1 in _sign_probs(hl_ab).items():
-        rho_ab = _link_states(hl_ab)[s1].relabeled({"q1": "alice", "q2": "mem_b"})
-        rho_ab = apply_unitary(rho_ab, cfg.r_bob, ["mem_b"])
-        rho_ab = apply_channel(rho_ab, depolarizing(cfg.store_depol_bob), ["mem_b"])
-        rho_ab = apply_channel(rho_ab, dephasing_from_factor(lam), ["mem_b"])
-        for s2, p2 in _sign_probs(hl_bc).items():
-            rho_bc = _link_states(hl_bc)[s2].relabeled({"q1": "comm_b", "q2": "comm_c"})
-            joint = tensor(rho_ab, rho_bc)
-            branches = _bell_project(joint, ("mem_b", "comm_b"))
-            assigned = _confused_outcomes(branches, cfg.bob_bsm)
-            for mc, state in assigned.items():
-                if not cfg.bob_bsm.accepts(*mc):
-                    continue
-                u = swap_correction(mc[0], mc[1], s1, s2, cfg.r_bob)
-                acc += apply_unitary(state, u, ["comm_c"]).matrix * (p1 * p2)
-    return QuantumState((2, 2), ("alice", "comm_c"), acc, float(np.trace(acc).real))
-
-
-def _store_at_charlie(cfg: ProtocolConfig, state: QuantumState) -> QuantumState:
-    stored = apply_unitary(state.relabeled({"comm_c": "mem_c"}), cfg.r_charlie, ["mem_c"])
-    return apply_channel(stored, depolarizing(cfg.store_depol_charlie), ["mem_c"])
+    hl_ab, hl_bc = build_heralded(cfg.link_ab), build_heralded(cfg.link_bc)
+    # Alice-Bob pairs per sign on (alice, mem_b): Bob stores, then dephases.
+    ab = np.stack([hl_ab.rho_plus.matrix, hl_ab.rho_minus.matrix])
+    ab = _on_second(depolarizing(cfg.store_depol_bob).kraus, _on_second([cfg.r_bob], ab))
+    ab = np.stack([_on_second(dephasing_from_factor(lam).kraus, ab) for lam in (0.0, 1.0)])
+    bc = np.stack([hl_bc.rho_plus.matrix, hl_bc.rho_minus.matrix])  # (comm_b, comm_c)
+    true = _bell_outcomes(ab[:, :, None], bc)  # lambda, sign ab, sign bc, outcome
+    assigned = np.einsum("jk,lstkab->lstjab", cfg.bob_bsm.confusion_matrix, true)
+    fix = np.array([
+        [[np.kron(np.eye(2), swap_correction(m, c, s1, s2, cfg.r_bob)) for m, c in BELL_OUTCOMES]
+         for s2 in _SIGNS]
+        for s1 in _SIGNS
+    ])
+    corrected = fix @ assigned @ fix.conj().swapaxes(-1, -2)
+    p_ab = np.array([hl_ab.p_plus, hl_ab.p_minus]) / hl_ab.p_success
+    p_bc = np.array([hl_bc.p_plus, hl_bc.p_minus]) / hl_bc.p_success
+    weights = np.einsum("s,t,k->stk", p_ab, p_bc, cfg.bob_bsm.accepted)
+    return np.einsum("stk,lstkab->lab", weights, corrected)
 
 
 def _apply_pauli_mix(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
@@ -601,18 +598,18 @@ def _apply_pauli_mix(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
 class Teleporter:
     """The Alice-Charlie resource of one configuration, shared by every input.
 
-    ``swapped`` holds the unnormalized Alice-Charlie state right after Bob's
-    swap correction and ``stored`` the one once Charlie has stored his half,
-    each at memory dephasing factor 0 and 1 (the states are affine in it),
-    summed over herald signs and accepted Bob outcomes.  Every later stage
-    is linear in the stored state, so summing first is exact.  The
-    fidelities and Bob's accepted weight are averaged over the attempt
-    count.
+    ``swapped`` holds the unnormalized Alice-Charlie states right after
+    Bob's swap correction and ``stored`` the ones once Charlie has stored
+    his half, each a (2, 4, 4) array at memory dephasing factor 0 and 1
+    (the states are affine in it), summed over herald signs and accepted
+    Bob outcomes.  Every later stage is linear in the stored state, so
+    summing first is exact.  The fidelities and Bob's accepted weight are
+    averaged over the attempt count.
     """
 
     averages: _QAverages
-    swapped: tuple[QuantumState, QuantumState]
-    stored: tuple[QuantumState, QuantumState]
+    swapped: np.ndarray
+    stored: np.ndarray
     swap_fidelity: float
     teleporter_fidelity: float
     bob_weight: float
@@ -620,16 +617,21 @@ class Teleporter:
 
 def _prepare_teleporter(cfg: ProtocolConfig) -> Teleporter:
     qa = _q_averages(cfg)
-    swapped = (_bob_stage(cfg, 0.0), _bob_stage(cfg, 1.0))
-    stored = (_store_at_charlie(cfg, swapped[0]), _store_at_charlie(cfg, swapped[1]))
-
-    def averaged(pair: tuple[QuantumState, QuantumState]) -> np.ndarray:
-        g0, g1 = pair[0].matrix, pair[1].matrix
-        return g0 + qa.dephasing * (g1 - g0)
+    swapped = _bob_stage(cfg)
+    # Charlie stores his half on (alice, mem_c) in his storage frame.
+    stored = _on_second(
+        depolarizing(cfg.store_depol_charlie).kraus, _on_second([cfg.r_charlie], swapped)
+    )
+    for mat, weight in zip(stored, np.trace(swapped, axis1=1, axis2=2).real):
+        # Hermitian, positive, and the trace Bob's swap left (storage keeps it).
+        QuantumState((2, 2), ("alice", "mem_c"), mat, float(weight))
+    for arr in (swapped, stored):
+        arr.flags.writeable = False
 
     # Alice-Charlie fidelities at the two cuts.  Alice's decoupling and the
     # later measurement noise belong to the teleported state's own budget.
-    swap, tele = averaged(swapped), averaged(stored)
+    swap = swapped[0] + qa.dephasing * (swapped[1] - swapped[0])
+    tele = stored[0] + qa.dephasing * (stored[1] - stored[0])
     phi_vec = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
     tele_vec = np.kron(np.eye(2), cfg.r_charlie) @ phi_vec
     bob_weight = float(np.trace(swap).real)
@@ -659,27 +661,8 @@ class AnalyticResult:
     mean_attempts_bc: float
 
 
-def _charlie_stage(
-    cfg: ProtocolConfig, stored: QuantumState, psi_in: QuantumState
-) -> dict[tuple[int, int], np.ndarray]:
-    """Alice's state (2x2, unnormalized) per accepted assigned Charlie outcome."""
-    branches = _bell_project(tensor(stored, psi_in), ("mem_c", "input"))
-    out = {}
-    for mc, state in _confused_outcomes(branches, cfg.charlie_bsm).items():
-        if not cfg.charlie_bsm.accepts(*mc):
-            continue
-        mat = state.matrix
-        if cfg.feed_forward:
-            u = teleport_correction(*mc, cfg.r_charlie)
-            mat = u @ mat @ u.conj().T
-        out[mc] = mat
-    return out
-
-
 def _input_state(cfg: ProtocolConfig, which) -> tuple[QuantumState, np.ndarray]:
     """Input density matrix and the pure tomography target."""
-    from .spin_noise import prepare_input_state
-
     if isinstance(which, str):
         psi = prepare_input_state(
             which, cfg.prep_init_error, cfg.prep_pulse_error, label="input"
@@ -687,9 +670,41 @@ def _input_state(cfg: ProtocolConfig, which) -> tuple[QuantumState, np.ndarray]:
         return psi, CARDINAL_STATES[which]
     vec = np.asarray(which, dtype=complex).ravel()
     vec = vec / np.linalg.norm(vec)
-    from .hilbert import state_from_vector
-
     return state_from_vector(vec, (2,), ("input",)), vec
+
+
+def _alice_states(
+    cfg: ProtocolConfig, which, correct: bool = True
+) -> tuple[np.ndarray, np.ndarray]:
+    """Alice's unnormalized state per assigned Charlie outcome, and the target.
+
+    The states, (4, 2, 2) in ``BELL_OUTCOMES`` order, follow Charlie's Bell
+    measurement of the stored state and the input, his readout confusion,
+    Alice's correction (skipped when ``correct`` is off), her decoupling
+    noise averaged over the attempt count jointly with Bob's memory
+    dephasing, and ionization.  Charlie's acceptance policy is the caller's.
+    """
+    tp = cfg.teleporter
+    psi_in, target = _input_state(cfg, which)
+    true = _bell_outcomes(tp.stored, psi_in.matrix)  # lambda, outcome
+    g0, g1 = np.einsum("jk,lkab->ljab", cfg.charlie_bsm.confusion_matrix, true)
+    if correct:
+        u = np.stack([teleport_correction(m, c, cfg.r_charlie) for m, c in BELL_OUTCOMES])
+        uh = u.conj().swapaxes(1, 2)
+        g0, g1 = u @ g0 @ uh, u @ g1 @ uh
+    qa = tp.averages
+    avg = _apply_pauli_mix(g0, qa.alice0) + _apply_pauli_mix(g1 - g0, qa.alice1)
+    # Ionization replaces Alice's qubit with the maximally mixed state.
+    ion = cfg.ionization_alice
+    weight = np.trace(avg, axis1=1, axis2=2).real
+    return (1.0 - ion) * avg + ion * weight[:, None, None] * np.eye(2) / 2.0, target
+
+
+def _weights_and_fidelities(alice: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-outcome weight and fidelity to the target (0 for an empty outcome)."""
+    weight = np.trace(alice, axis1=1, axis2=2).real
+    overlap = np.real(target.conj() @ alice @ target)
+    return weight, np.divide(overlap, weight, out=np.zeros(4), where=weight > 0.0)
 
 
 def run_teleportation_analytic(cfg: ProtocolConfig, which) -> AnalyticResult:
@@ -703,43 +718,30 @@ def run_teleportation_analytic(cfg: ProtocolConfig, which) -> AnalyticResult:
     averaged jointly), ionization, and state-preparation noise.
     """
     tp = cfg.teleporter
-    qa = tp.averages
-    psi_in, target = _input_state(cfg, which)
-    out0 = _charlie_stage(cfg, tp.stored[0], psi_in)
-    out1 = _charlie_stage(cfg, tp.stored[1], psi_in)
-
-    per_outcome = {}
-    rho_total = np.zeros((2, 2), dtype=complex)
-    weight_total = 0.0
-    for mc, g0 in out0.items():
-        d = out1[mc] - g0
-        avg = _apply_pauli_mix(g0, qa.alice0) + _apply_pauli_mix(d, qa.alice1)
-        # Ionization replaces Alice's qubit with the maximally mixed state.
-        w = float(np.trace(avg).real)
-        if w <= 0.0:
-            continue
-        avg = (1.0 - cfg.ionization_alice) * avg + cfg.ionization_alice * w * np.eye(2) / 2.0
-        f = float(np.real(target.conj() @ avg @ target) / w)
-        per_outcome[mc] = (w, f)
-        rho_total += avg
-        weight_total += w
-
+    alice, target = _alice_states(cfg, which)
+    weight, fid = _weights_and_fidelities(alice, target)
+    keep = cfg.charlie_bsm.accepted & (weight > 0.0)
+    weight_total = float(weight[keep].sum())
     accept = (
-        qa.p_success
+        tp.averages.p_success
         * cfg.bob_bsm.acceptance_probability
         * cfg.charlie_bsm.acceptance_probability
         * weight_total
     )
-    rho = QuantumState((2,), ("alice",), rho_total / weight_total)
+    rho = QuantumState((2,), ("alice",), alice[keep].sum(axis=0) / weight_total)
     return AnalyticResult(
         rho=rho,
         fidelity=float(np.real(target.conj() @ rho.matrix @ target)),
-        per_outcome=per_outcome,
+        per_outcome={
+            mc: (float(weight[k]), float(fid[k]))
+            for k, mc in enumerate(BELL_OUTCOMES)
+            if keep[k]
+        },
         accept_probability=float(accept),
         teleporter_fidelity=tp.teleporter_fidelity,
         swap_fidelity=tp.swap_fidelity,
         bob_accept_weight=tp.bob_weight,
-        mean_attempts_bc=qa.mean_attempts,
+        mean_attempts_bc=tp.averages.mean_attempts,
     )
 
 
@@ -753,28 +755,18 @@ def average_fidelity(cfg: ProtocolConfig) -> float:
 
 def teleporter_fidelity(cfg: ProtocolConfig) -> float:
     """Alice-Charlie fidelity of the swapped state with all preparation noise."""
-    return run_teleportation_analytic(cfg, "+z").swap_fidelity
-
-
-def stored_teleporter_fidelity(cfg: ProtocolConfig) -> float:
-    """Alice-Charlie fidelity once Charlie has stored his half."""
-    return run_teleportation_analytic(cfg, "+z").teleporter_fidelity
+    return cfg.teleporter.swap_fidelity
 
 
 def per_bsm_outcome_fidelity(cfg: ProtocolConfig) -> dict[tuple[int, int], float]:
     """Average teleported-state fidelity per assigned Charlie Bell outcome.
 
-    Uses unconditional-style accounting so all four outcomes carry weight.
+    Every outcome is reported, whatever Charlie's acceptance policy.
     """
-    cfg_all = replace(cfg, charlie_bsm=replace(cfg.charlie_bsm, policy="all"))
-    sums: dict[tuple[int, int], float] = {mc: 0.0 for mc in BELL_OUTCOMES}
-    weights: dict[tuple[int, int], float] = {mc: 0.0 for mc in BELL_OUTCOMES}
+    sums = np.zeros(4)
     for which in CARDINAL_STATES:
-        res = run_teleportation_analytic(cfg_all, which)
-        for mc, (w, f) in res.per_outcome.items():
-            sums[mc] += f
-            weights[mc] += w
-    return {mc: sums[mc] / 6.0 for mc in BELL_OUTCOMES}
+        sums += _weights_and_fidelities(*_alice_states(cfg, which))[1]
+    return {mc: float(s / 6.0) for mc, s in zip(BELL_OUTCOMES, sums)}
 
 
 def no_feedforward_fidelity(cfg: ProtocolConfig) -> float:
@@ -785,12 +777,12 @@ def no_feedforward_fidelity(cfg: ProtocolConfig) -> float:
     uncorrected teleportation is the maximally mixed state, so ideal
     components give exactly one half.
     """
-    cfg_all = replace(
-        cfg,
-        feed_forward=False,
-        charlie_bsm=replace(cfg.charlie_bsm, policy="all"),
-    )
-    return average_fidelity(cfg_all)
+    fids = []
+    for which in CARDINAL_STATES:
+        alice, target = _alice_states(cfg, which, correct=False)
+        rho = alice.sum(axis=0) / np.trace(alice, axis1=1, axis2=2).real.sum()
+        fids.append(float(np.real(target.conj() @ rho @ target)))
+    return float(np.mean(fids))
 
 
 def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator) -> TeleportOutcome:
@@ -883,8 +875,7 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
     if ionized:
         reg.state = QuantumState((2,), ("alice",), np.eye(2) / 2.0)
     msg = bus.receive("charlie", "alice")
-    if cfg.feed_forward:
-        reg.unitary(teleport_correction(*msg["bsm"], cfg.r_charlie), ["alice"])
+    reg.unitary(teleport_correction(*msg["bsm"], cfg.r_charlie), ["alice"])
     rho = reg.density(["alice"])
     # Raw verification readout along the target axis (direction alternated by
     # the caller across shots; the estimator in ``tomography`` aggregates).

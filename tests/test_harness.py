@@ -1,13 +1,15 @@
 import json
 import subprocess
 import sys
+import tracemalloc
+import warnings
 from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from teleportsim import cli, harness
+from teleportsim import cli, harness, protocol
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "teleportsim" / "scenarios"
@@ -61,6 +63,15 @@ def test_shot_rng_reproducible_and_independent():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+
+
+def test_shot_streams_do_not_overlap():
+    # No draw of shot k's first 64 appears in the streams of shots k + 1
+    # and k + 1000, so no shot reuses a window of another's randomness.
+    for k in (0, 7):
+        first = harness.shot_rng(1, "scen", k).uniform(size=64)
+        for other in (k + 1, k + 1000):
+            assert not np.isin(first, harness.shot_rng(1, "scen", other).uniform(size=64)).any()
 
 
 def test_run_scenario_deterministic(tmp_path):
@@ -120,6 +131,19 @@ def test_estimate_rate_limits():
     assert harness.estimate_rate(model) == pytest.approx(1 / 3.0)
     with pytest.raises(harness.HarnessError):
         harness.RateModel(1.0, 0.0, 1.0, 10, 1.0, 1.0)
+
+
+def test_estimate_rate_long_timeout_bounded_memory():
+    # The sum stops after about 4e5 attempts, long before the timeout.
+    model = harness.RateModel(5e-6, 1e-4, 1e-4, 2 * 10**6, 0.3, 0.5)
+    tracemalloc.start()
+    try:
+        rate = harness.estimate_rate(model)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1e6
+    assert rate == pytest.approx(harness.estimate_rate(replace(model, timeout=10**6)), rel=1e-12)
 
 
 def test_rate_orderings():
@@ -299,3 +323,99 @@ def test_module_entry_point_help():
     )
     assert proc.returncode == 0, proc.stderr
     assert "usage: teleportsim" in proc.stdout
+
+
+def _named_config(tmp_path, name):
+    path = tmp_path / "named.cfg"
+    path.write_text(f"scenario.name = {name}\nscenario.outputs = fidelities\n")
+    return path
+
+
+def _run_named(tmp_path, name):
+    return cli.main(["run", str(_named_config(tmp_path, name)), "--out", str(tmp_path / "out")])
+
+
+def test_report_names_keep_dots(tmp_path, capsys):
+    # Scenario names differing after a dot write different reports.
+    for name in ("v1.5", "v1.6"):
+        assert _run_named(tmp_path, name) == 0
+    names = {p.name for p in (tmp_path / "out").iterdir()}
+    assert {"v1.5.summary.json", "v1.6.summary.json", "v1.5.fidelities.csv"} <= names
+    assert not any(n.startswith("v1.summary") for n in names)
+    capsys.readouterr()
+
+
+@pytest.mark.parametrize("command", ["run", "budget", "ladder", "rates"])
+def test_report_name_with_separator_rejected(tmp_path, capsys, command):
+    argv = [command, str(_named_config(tmp_path, "../escape")), "--out", str(tmp_path / "out")]
+    if command == "budget":
+        argv += ["--link", "AB"]
+    assert cli.main(argv) == 2
+    assert "scenario.name" in _one_error_line(capsys.readouterr())
+    assert not (tmp_path / "escape.summary.json").exists()
+    assert not any(tmp_path.glob("escape.*"))
+
+
+def test_empty_report_name_rejected(tmp_path, capsys):
+    assert _run_named(tmp_path, "") == 2
+    assert "scenario.name" in _one_error_line(capsys.readouterr())
+    assert not (tmp_path / "out.summary.json").exists()
+
+
+@pytest.mark.parametrize("name", [".", ".."])
+def test_dot_report_names_rejected(tmp_path, capsys, name):
+    assert _run_named(tmp_path, name) == 2
+    assert "scenario.name" in _one_error_line(capsys.readouterr())
+
+
+@pytest.mark.parametrize("seed", ["99999999999999999999999", "18446744073709551616", "-1"])
+def test_cli_seed_outside_key_range(tmp_path, capsys, seed):
+    # Philox key words are 64-bit unsigned: a seed outside [0, 2**64) would
+    # overflow or wrap in a platform-dependent way.
+    argv = ["run", str(SCENARIOS / "monte-carlo.cfg"), "--shots", "5", "--seed", seed]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        rc = cli.main(argv + ["--out", str(tmp_path)])
+    assert rc == 2
+    assert "scenario.seed" in _one_error_line(capsys.readouterr())
+
+
+def test_cli_largest_seed_runs(tmp_path, capsys):
+    argv = ["run", str(SCENARIOS / "monte-carlo.cfg"), "--shots", "5", "--seed", str(2**64 - 1)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    first = harness.shot_rng(2**64 - 1, "scen", 0).uniform(size=4)
+    assert not np.array_equal(first, harness.shot_rng(2**63, "scen", 0).uniform(size=4))
+    capsys.readouterr()
+
+
+def test_cli_scenario_directory(tmp_path, capsys):
+    assert cli.main(["run", str(tmp_path), "--out", str(tmp_path / "out")]) == 2
+    assert "directory" in _one_error_line(capsys.readouterr()).lower()
+
+
+def test_cli_rates_windows_not_numbers(tmp_path, capsys):
+    argv = ["rates", str(SCENARIOS / "experiment-conditional.cfg"), "--windows", "abc"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 2
+    assert "--windows" in _one_error_line(capsys.readouterr())
+
+
+def test_one_teleporter_per_config(tmp_path, capsys, monkeypatch):
+    # Every output of a run reads one prepared teleporter; a ladder prepares
+    # one per step, a rate sweep one per window.
+    calls = []
+    prepare = protocol._prepare_teleporter
+
+    def counting(cfg):
+        calls.append(cfg)
+        return prepare(cfg)
+
+    monkeypatch.setattr(protocol, "_prepare_teleporter", counting)
+    cfg = str(SCENARIOS / "experiment-conditional.cfg")
+    expected = {("run",): 1, ("ladder",): 4, ("rates",): 3, ("budget", "--link", "teleport"): 10}
+    for argv, count in expected.items():
+        calls.clear()
+        assert cli.main([argv[0], cfg, *argv[1:], "--out", str(tmp_path)]) == 0
+        assert len(calls) == count, argv
+    capsys.readouterr()

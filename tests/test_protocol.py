@@ -1,13 +1,18 @@
 import gc
 import math
+import tracemalloc
 import weakref
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportsim import hilbert as hb
 from teleportsim import protocol as pt
+
+from .oracles.analytic_states import StateOracle
 
 
 @pytest.fixture(scope="module")
@@ -274,3 +279,104 @@ def test_attempt_averages_match_per_attempt_channels():
     assert qa.p_success == pytest.approx(total, rel=1e-12)
     assert np.allclose(qa.alice0, alice0 / total, rtol=0.0, atol=1e-12)
     assert np.allclose(qa.alice1, alice1 / total, rtol=0.0, atol=1e-12)
+
+
+ORACLE_GRID = [
+    (mode, bar, timeout)
+    for mode in ("conditional", "unconditional")
+    for bar in (True, False)
+    for timeout in (100, 1000, 3000)
+]
+
+
+@pytest.mark.parametrize("mode,bar,timeout", ORACLE_GRID)
+def test_analytic_matches_state_oracle(mode, bar, timeout):
+    # Every result field, under the config's own policy and under "all", and
+    # Alice's state for every assigned outcome with and without her
+    # correction, against the branch-by-branch reference, to 1e-12.
+    cfg = pt.make_config(mode, bar_on=bar, timeout=timeout)
+    ref = StateOracle(cfg)
+    everything = replace(cfg, charlie_bsm=replace(cfg.charlie_bsm, policy="all"))
+    close = dict(rel=1e-12, abs=1e-12)
+    for which in hb.CARDINAL_STATES:
+        for c, policy in ((cfg, None), (everything, "all")):
+            res = pt.run_teleportation_analytic(c, which)
+            want = ref.result(which, policy)
+            assert np.allclose(res.rho.matrix, want["rho"], rtol=0.0, atol=1e-12)
+            for name in (
+                "fidelity", "accept_probability", "teleporter_fidelity", "swap_fidelity",
+                "bob_accept_weight", "mean_attempts_bc",
+            ):
+                assert getattr(res, name) == pytest.approx(want[name], **close), name
+            assert res.per_outcome.keys() == want["per_outcome"].keys()
+            for mc, (w, f) in want["per_outcome"].items():
+                assert res.per_outcome[mc] == pytest.approx((w, f), **close)
+        for correct in (True, False):
+            alice, _target = pt._alice_states(cfg, which, correct=correct)
+            want = ref.alice_states(which, feed_forward=correct)
+            for k, mc in enumerate(pt.BELL_OUTCOMES):
+                assert np.allclose(alice[k], want[mc], rtol=0.0, atol=1e-12)
+    table = pt.per_bsm_outcome_fidelity(cfg)
+    for mc in pt.BELL_OUTCOMES:
+        want = np.mean([ref.result(w, "all")["per_outcome"][mc][1] for w in hb.CARDINAL_STATES])
+        assert table[mc] == pytest.approx(want, **close)
+    no_ff = np.mean(
+        [ref.result(w, "all", feed_forward=False)["fidelity"] for w in hb.CARDINAL_STATES]
+    )
+    assert pt.no_feedforward_fidelity(cfg) == pytest.approx(no_ff, **close)
+
+
+def _random_density(rng, dim):
+    a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    rho = a @ a.conj().T
+    return rho * rng.uniform(0.1, 2.0) / np.trace(rho).real
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), outer=st.sampled_from([(2, 2), (2, 1), (1, 2), (3, 2)]))
+def test_bell_outcomes_positive_and_complete(seed, outer):
+    # Each true outcome leaves a positive outer state, and the four traces
+    # add up to tr(left) tr(right): the Bell basis is complete.
+    rng = np.random.default_rng(seed)
+    da, db = outer
+    left, right = _random_density(rng, 2 * da), _random_density(rng, 2 * db)
+    out = pt._bell_outcomes(left, right)
+    assert out.shape == (4, da * db, da * db)
+    for state in out:
+        assert np.allclose(state, state.conj().T, rtol=0.0, atol=1e-12)
+        assert np.linalg.eigvalsh(state).min() >= -1e-12
+    total = np.trace(out, axis1=1, axis2=2).sum()
+    assert total == pytest.approx(np.trace(left).real * np.trace(right).real, rel=1e-12)
+
+
+@pytest.mark.parametrize("timeout", [100, 1000, 3000])
+def test_truncated_geometric_sums_match_full_sum(timeout):
+    # Blocked and cut-off sums against one array as long as the timeout.
+    for p in (1e-4, 8.5e-4, 3e-3, 0.05, 0.5):
+        qs = np.arange(1, timeout + 1, dtype=float)
+        pmf = p * (1.0 - p) ** (qs - 1)
+        def terms(q):
+            return np.column_stack([q, np.sqrt(q)])
+
+        mass, sums = pt.truncated_geometric_sums(p, timeout, terms)
+        assert mass == pytest.approx(pmf.sum(), rel=1e-12)
+        assert np.allclose(sums, pmf @ terms(qs), rtol=1e-12, atol=0.0)
+    mass, sums = pt.truncated_geometric_sums(1.0, timeout, lambda q: q[:, None])
+    assert mass == 1.0 and sums[0] == 1.0
+    with pytest.raises(pt.ProtocolError):
+        pt.truncated_geometric_sums(0.0, timeout, lambda q: q[:, None])
+
+
+def test_long_timeout_bounded_memory():
+    # A timeout of 1e6 attempts allocates no array of that length (one
+    # would take about 120 MB).
+    cfg = pt.make_config("conditional", timeout=10**6)
+    tracemalloc.start()
+    try:
+        res = pt.run_teleportation_analytic(cfg, "+x")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    p = pt.build_heralded(cfg.link_bc).p_success
+    assert res.mean_attempts_bc == pytest.approx(1.0 / p, rel=1e-9)
