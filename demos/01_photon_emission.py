@@ -28,9 +28,10 @@ print(
 )
 
 print("\n== Emission timing ==")
-t = sol.times
+timing = sol.solution
+t = timing.times
+total = np.cumsum(timing.first_rate) * (t[1] - t[0])
 for frac in (0.5, 0.9, 0.99):
-    total = np.cumsum(sol.first_density) * (t[1] - t[0])
     t_frac = t[np.searchsorted(total, frac * total[-1])]
     print(f"{int(frac * 100):>3}% of first photons emitted by t = {t_frac:5.1f} ns")
 

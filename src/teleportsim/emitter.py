@@ -7,15 +7,16 @@ neglected.  Between emissions the emitter evolves under the no-jump
 propagator U(t) of the two-level generator A = [[0, -i Omega], [-i Omega,
 -gamma/2]]: exact in closed form for square pulses, chained from exact steps
 at midpoint amplitude for gaussian ones.  U alone gives the probabilities
-P0/P1/P2 of emitting zero, one or two photons per attempt and the
-emission-time densities needed to split photons over detection windows.
+P0/P1/P2 of emitting zero, one or two photons per attempt, and prefix sums
+over the first emission time from which the share of photons falling in
+each detection window is read off by grid index.
 
 Time is in nanoseconds, rates in 1/ns.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -198,47 +199,58 @@ def _pulse_populations(
 
 @dataclass(frozen=True)
 class EmissionSolution:
-    """Propagator-level emission-time structure backing window integrals."""
+    """Grid sums of one emission solution that the window tables read.
+
+    A first photon at t_k leaves the emitter in v_k = U(t_k)^{-1} |0>, so a
+    second one falls in [t_lo, t_hi] with probability
+    v_k^dag (A(t_hi) - A(max(t_lo, t_k))) v_k, A the cumulative flux.  With
+    fw_k the first-emission weight, a sum of that over first photons in an
+    index range needs only two prefix sums: ``vv_prefix[k]`` of
+    fw v v^dag and ``vav_prefix[k]`` of fw v^dag A v over the points before
+    k.  As in :func:`_pulse_populations`, only first photons while the drive
+    is on can be followed by a second, so the prefix sums stop at the pulse
+    end and later first photons add exactly nothing.
+    """
 
     times: np.ndarray
     pulse_end: float
     first_rate: np.ndarray  # w1(t): unconditional first-emission density
     survive_after_first: np.ndarray  # P(no second emission | first at t)
-    jump_vectors: np.ndarray  # v(t) = U(t)^{-1} |0>, shape (n, 2)
     cumulative_flux: np.ndarray  # A(t) = gamma * int_0^t M(s)^dag M(s) ds, (n, 2, 2)
+    vv_prefix: np.ndarray  # (m + 1, 2, 2), m the grid index of the pulse end
+    vav_prefix: np.ndarray  # (m + 1,)
 
-    def second_mass(self, lo: np.ndarray | float, hi: np.ndarray | float) -> np.ndarray:
-        """P(second emission in [lo, hi] | first at each grid time)."""
-        t = self.times
-        a_hi = self._a_at(np.minimum(hi, t[-1]))
-        lo_eff = np.maximum(lo, t)  # second photon cannot precede the first
-        a_lo = self._a_at(lo_eff)
-        diff = a_hi - a_lo
-        v = self.jump_vectors
-        out = np.real(np.einsum("ki,kij,kj->k", v.conj(), diff, v))
-        return np.clip(out, 0.0, None)
+    def pair_sum(self, a: int, b: int, lo: int, hi: int) -> float:
+        """sum over a <= k < b of fw_k v_k^dag (A[hi] - A[max(lo, k)]) v_k, clipped at 0.
 
-    def _a_at(self, tq: np.ndarray | float) -> np.ndarray:
-        t = self.times
-        tq = np.atleast_1d(np.asarray(tq, dtype=float))
-        idx = np.clip(np.searchsorted(t, tq - 1e-12), 0, len(t) - 1)
-        a = self.cumulative_flux[idx]
-        if a.shape[0] == 1:
-            a = np.broadcast_to(a, (len(t), 2, 2))
-        return a
+        Up to k = lo the lower end is A[lo]; from there on it is the point's
+        own A[k], held in ``vav_prefix``.  First photons at or after ``hi``
+        would add a negative mass and are left out, as is everything when
+        the span is empty.
+        """
+        if hi <= lo:
+            return 0.0
+        a_hi = self.cumulative_flux[hi]
+        vv, vav = self.vv_prefix, self.vav_prefix
+        mid_lo, mid_hi = max(a, lo), min(b, hi)
+        early = np.vdot(_span(vv, a, min(b, lo)), a_hi - self.cumulative_flux[lo])
+        late = np.vdot(_span(vv, mid_lo, mid_hi), a_hi) - _span(vav, mid_lo, mid_hi)
+        return max(float(np.real(early + late)), 0.0)
+
+
+def _span(prefix: np.ndarray, a: int, b: int) -> np.ndarray:
+    """Sum of the terms a <= k < b of a zero-led prefix sum; terms past its end are 0."""
+    last = len(prefix) - 1
+    return prefix[min(max(a, b), last)] - prefix[min(a, last)]
 
 
 @dataclass(frozen=True)
 class EmissionProbabilities:
-    """Photon-number probabilities and emission-time densities for one pulse."""
+    """Photon-number probabilities for one pulse, with its grid solution."""
 
     p0: float
     p1: float
     p2: float
-    times: np.ndarray = field(repr=False)
-    first_density: np.ndarray = field(repr=False)  # unconditional, integrates to p1+p2
-    second_density: np.ndarray = field(repr=False)  # unconditional, integrates to p2
-    pulse_end: float = 0.0
     solution: EmissionSolution | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self) -> None:
@@ -253,32 +265,13 @@ class EmissionProbabilities:
 
     def without_double_excitation(self) -> "EmissionProbabilities":
         """Counterfactual with the two-photon branch reassigned to one photon."""
-        return EmissionProbabilities(
-            self.p0,
-            self.p1 + self.p2,
-            0.0,
-            self.times,
-            self.first_density,
-            np.zeros_like(self.second_density),
-            self.pulse_end,
-            self.solution,
-        )
+        return replace(self, p1=self.p1 + self.p2, p2=0.0)
 
     def with_double_excitation(self, p2: float) -> "EmissionProbabilities":
         """Counterfactual with the two-photon probability rescaled to ``p2``."""
         if not 0.0 <= p2 < self.p1 + self.p2:
             raise EmitterError(f"cannot rescale double emission to {p2}")
-        scale = p2 / self.p2 if self.p2 > 0 else 0.0
-        return EmissionProbabilities(
-            self.p0,
-            self.p1 + self.p2 - p2,
-            p2,
-            self.times,
-            self.first_density,
-            self.second_density * scale,
-            self.pulse_end,
-            self.solution,
-        )
+        return replace(self, p1=self.p1 + self.p2 - p2, p2=p2)
 
 
 def solve_emission(
@@ -290,9 +283,9 @@ def solve_emission(
     two-level system: the photon-number probabilities from
     :func:`_pulse_populations`, and on the full grid the first-emission
     density w1 = gamma |<e|U(t)|0>|^2, the survival after a first emission
-    and the second-emission density.  Two guards hold to 1e-6: the excited
-    population left at the horizon, and the trapezoid sum of w1 against the
-    exact emission probability 1 - |U(T)|0>|^2.
+    and the prefix sums of :class:`EmissionSolution`.  Two guards hold to
+    1e-6: the excited population left at the horizon, and the trapezoid sum
+    of w1 against the exact emission probability 1 - |U(T)|0>|^2.
     """
     grid = grid or TimeGrid()
     p0, p2 = _pulse_populations(pulse, params, grid)
@@ -311,21 +304,14 @@ def solve_emission(
     v = _jump_vectors(us, g, t)
     chi_end = np.einsum("ij,kj->ki", us[-1], v)
     survive = np.abs(chi_end[:, 0]) ** 2 + np.abs(chi_end[:, 1]) ** 2
-    sol = EmissionSolution(t, pulse.end_ns, w1, survive, v, a)
-
-    first_density = w1
-    # Second-photon (unconditional) marginal density:
-    #   w2(t) = gamma int_0^t w1(t1) |<e| U(t) v(t1)>|^2 dt1
-    #         = tr[ G(t) S(t) ],  S(t) = int_0^t w1 v v^dag,  G = gamma M^dag M,
-    # so a prefix sum over rank-one outer products suffices (the t1 = t term
-    # vanishes because U(t) v(t) = |0> has no excited component).
-    outer = (w1 * weights)[:, None, None] * np.einsum("ki,kj->kij", v, v.conj())
-    s_prefix = np.cumsum(outer, axis=0)
-    second_density = np.real(np.einsum("kij,kji->k", flux, s_prefix))
-    second_density = np.clip(second_density, 0.0, None)
-    return EmissionProbabilities(
-        p0, 1.0 - p0 - p2, p2, t, first_density, second_density, pulse.end_ns, sol
-    )
+    on = _pulse_index(pulse, t)
+    fw = (w1 * weights)[:on]
+    vv = np.zeros((on + 1, 2, 2), dtype=complex)
+    vv[1:] = np.cumsum(fw[:, None, None] * np.einsum("ki,kj->kij", v[:on], v[:on].conj()), axis=0)
+    vav = np.zeros(on + 1)
+    vav[1:] = np.cumsum(fw * np.real(np.einsum("ki,kij,kj->k", v[:on].conj(), a[:on], v[:on])))
+    sol = EmissionSolution(t, pulse.end_ns, w1, survive, a, vv, vav)
+    return EmissionProbabilities(p0, 1.0 - p0 - p2, p2, sol)
 
 
 def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
@@ -413,64 +399,69 @@ def window_probabilities(
     em: EmissionProbabilities,
     zpl_window: tuple[float, float],
     psb_window: tuple[float, float],
-    pulse_end: float | None = None,
 ) -> WindowProbabilities:
-    """Integrate emission-time densities over the detection windows.
+    """Split the emitted photons over the detection windows.
 
-    Windows are (start_ns, length_ns) and must lie inside the simulated
-    horizon.
+    Windows are (start_ns, length_ns), with a nonnegative length, and must
+    lie inside the simulated horizon.  Every class is a range of grid
+    indices, so each table entry is a few prefix-sum lookups.
     """
     sol = em.solution
     if sol is None:
         raise EmitterError("emission object carries no timing solution")
     t = sol.times
-    pulse_end = sol.pulse_end if pulse_end is None else pulse_end
+    pulse_end = sol.pulse_end
+    for name, (start, length) in (("zpl", zpl_window), ("psb", psb_window)):
+        if not length >= 0:
+            raise EmitterError(f"{name} window length {length} is not a nonnegative number")
+        if not (start >= -1e-9 and start + length <= t[-1] + 1e-9):
+            raise EmitterError(
+                f"{name} window [{start}, {start + length}] outside simulated horizon"
+            )
     z_lo, z_hi = zpl_window[0], zpl_window[0] + zpl_window[1]
     b_lo, b_hi = psb_window[0], psb_window[0] + psb_window[1]
-    for name, (lo, hi) in (("zpl", (z_lo, z_hi)), ("psb", (b_lo, b_hi))):
-        if lo < -1e-9 or hi > t[-1] + 1e-9:
-            raise EmitterError(f"{name} window [{lo}, {hi}] outside simulated horizon")
+    n = len(t)
+    # The ZPL window, then the side-band window during and after the pulse.
+    zpl = [(z_lo, z_hi)]
+    psb = [(b_lo, min(b_hi, pulse_end)), (max(b_lo, pulse_end), b_hi)]
 
-    w = _trapezoid_weights(t)
-    zin = ((t >= z_lo) & (t < z_hi)).astype(float)
-    bdur = ((t >= b_lo) & (t < b_hi) & (t < pulse_end)).astype(float)
-    baft = ((t >= b_lo) & (t < b_hi) & (t >= pulse_end)).astype(float)
-    bout = 1.0 - bdur - baft
-    zout = 1.0 - zin
+    def classes(bounds: list, second: bool) -> list:
+        """Index ranges of the in-window classes, then of "out", their complement.
 
-    # Exactly-one-photon conditional density.
-    p1_mass = float(np.sum(sol.first_rate * sol.survive_after_first * w))
-    f1 = sol.first_rate * sol.survive_after_first * w / p1_mass if p1_mass > 0 else w * 0.0
-    p_dz1 = float(np.sum(f1 * zin))
-    p_db1_dur = float(np.sum(f1 * bdur))
-    p_db1_aft = float(np.sum(f1 * baft))
+        A first photon at t_k is in [lo, hi) by its index k; a second
+        photon's span runs between the grid points at lo and hi, rounded up
+        as the cumulative flux is looked up.
+        """
+        if second:
+            end = n - 1
+            edges = np.minimum(np.searchsorted(t, np.minimum(bounds, t[-1]) - 1e-12), end)
+        else:
+            end = n
+            edges = np.searchsorted(t, bounds)
+        inside = [tuple(e) for e in edges]
+        return [[r] for r in inside] + [[(0, inside[0][0]), (inside[-1][1], end)]]
 
-    # Two-photon joint tables: first photon class x second photon interval mass.
-    def masses(lo: float, hi: float) -> np.ndarray:
-        return sol.second_mass(lo, hi)
+    # Exactly-one-photon shares: the first photon without a second.
+    single = sol.first_rate * sol.survive_after_first * _trapezoid_weights(t)
+    p1_mass = float(np.sum(single))
+    p_dz1, p_db1_dur, p_db1_aft = (
+        float(np.sum(single[a:b])) / p1_mass if p1_mass > 0 else 0.0
+        for a, b in np.searchsorted(t, zpl + psb)
+    )
 
-    m_zin = masses(z_lo, z_hi)
-    m_bdur = masses(b_lo, min(b_hi, pulse_end)) if pulse_end > b_lo else np.zeros_like(t)
-    m_baft = masses(max(b_lo, pulse_end), b_hi) if b_hi > pulse_end else np.zeros_like(t)
-    m_tot = masses(0.0, t[-1])
-    m_zout = np.clip(m_tot - m_zin, 0.0, None)
-    m_bout = np.clip(m_tot - m_bdur - m_baft, 0.0, None)
+    # Two-photon tables over (first photon class, second photon class).
+    p2_mass = sol.pair_sum(0, n, 0, n - 1)
 
-    first_w = sol.first_rate * w
-    p2_mass = float(np.sum(first_w * m_tot))
-
-    def table(first_classes: list[np.ndarray], second_masses: list[np.ndarray]) -> np.ndarray:
-        out = np.empty((len(first_classes), len(second_masses)))
-        for i, fc in enumerate(first_classes):
-            for j, sm in enumerate(second_masses):
-                out[i, j] = float(np.sum(first_w * fc * sm)) / p2_mass if p2_mass > 0 else 0.0
+    def table(first_bounds: list, second_bounds: list) -> np.ndarray:
+        rows, cols = classes(first_bounds, False), classes(second_bounds, True)
+        out = np.zeros((len(rows), len(cols)))
+        if p2_mass > 0:
+            for i, j in np.ndindex(out.shape):
+                mass = sum(sol.pair_sum(a, b, lo, hi) for a, b in rows[i] for lo, hi in cols[j])
+                out[i, j] = mass / p2_mass
         return out
 
-    zz = table([zin, zout], [m_zin, m_zout])
-    bb = table([bdur, baft, bout], [m_bdur, m_baft, m_bout])
-    zb = table([zin, zout], [m_bdur, m_baft, m_bout])
-    bz = table([bdur, baft, bout], [m_zin, m_zout])
-
+    zz, bb, zb, bz = table(zpl, zpl), table(psb, psb), table(zpl, psb), table(psb, zpl)
     wp = WindowProbabilities(
         zpl_window, psb_window, pulse_end, p_dz1, p_db1_dur, p_db1_aft, zz, bb, zb, bz
     )

@@ -66,30 +66,6 @@ def read_config_text(text: str) -> dict[str, str]:
     return out
 
 
-def parse_config_text(text: str) -> dict:
-    """Parse ``section.key = value`` lines, each value typed by its shape."""
-    return {key: _coerce(value) for key, value in read_config_text(text).items()}
-
-
-def _coerce(value: str):
-    if "," in value:
-        return tuple(_coerce(v.strip()) for v in value.split(","))
-    low = value.lower()
-    if low in _TRUE:
-        return True
-    if low in _FALSE:
-        return False
-    try:
-        return int(value)
-    except ValueError:
-        pass
-    try:
-        return float(value)
-    except ValueError:
-        pass
-    return value
-
-
 def _typed(key: str, kind: type, value):
     """One scenario value as its field's type: text is parsed, typed values checked."""
     if kind == tuple[str, ...]:
@@ -153,15 +129,27 @@ class Scenario:
     event_overhead_s: float = defaults.EVENT_OVERHEAD_S
 
     def __post_init__(self) -> None:
-        # The name becomes the stem of every report file in the output directory.
-        if self.name in ("", ".", "..") or any(sep in self.name for sep in "/\\"):
-            raise HarnessError(f"scenario.name {self.name!r} is not a plain file name")
+        # The name becomes the stem of every report file in the output
+        # directory, and must read back from a config line as itself.
+        name = self.name
+        if name in ("", ".", "..") or any(c in name for c in "/\\\0"):
+            raise HarnessError(f"scenario.name {name!r} is not a plain file name")
+        if "#" in name or name != name.strip() or name.splitlines() != [name]:
+            raise HarnessError(
+                f"scenario.name {name!r} has a '#', a line break or surrounding spaces"
+            )
         if not 0 <= self.seed < 2**64:
             raise HarnessError(f"scenario.seed {self.seed} outside [0, 2**64)")
         if self.mode not in ("analytic", "monte-carlo"):
             raise HarnessError(f"unknown run mode {self.mode!r}")
         if self.mode == "monte-carlo" and self.shots < 1:
             raise HarnessError("monte-carlo mode needs at least one shot")
+        if self.protocol_mode not in ("conditional", "unconditional"):
+            raise HarnessError(f"unknown protocol mode {self.protocol_mode!r}")
+        if not self.attempt_period_s > 0:
+            raise HarnessError(f"rate.attempt_period_s {self.attempt_period_s} is not positive")
+        if not self.outputs:
+            raise HarnessError("scenario.outputs names no output")
         unknown = set(self.outputs) - set(OUTPUT_KINDS)
         if unknown:
             raise HarnessError(f"unknown outputs {sorted(unknown)}")
@@ -295,11 +283,13 @@ def estimate_rate(model: RateModel) -> float:
     mass, (q_sum,) = protocol.truncated_geometric_sums(
         model.p_bc, model.timeout, lambda qs: qs[:, None]
     )
-    q_mean_success = q_sum / mass
+    q_mean_success = float(q_sum / mass)
     t_cycle = (1.0 / model.p_ab) * tau + model.cycle_overhead_s + mean_tries * tau
     t_prep = t_cycle / p_t + q_mean_success * tau + model.bsm_overhead_s
     t_bob = t_prep / model.bob_accept
     t_event = (t_bob + model.charlie_stage_s) / model.charlie_accept + model.event_overhead_s
+    if not math.isfinite(t_event):
+        raise HarnessError(f"time per event {t_event} s overflows")
     return 1.0 / t_event
 
 

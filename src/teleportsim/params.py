@@ -69,9 +69,10 @@ LINK_BC = LinkConfig(
 )
 
 # Links one process can need: AB and BC, with side-band rejection on and off,
-# at each calibrated window, plus the ideal link (13).  Other links, such as
-# new designs, are built once and not reused, so they only evict.
-_LINKS_KEPT = 2 * 2 * len(LinkConfig.visibility_by_window) + 1
+# and the ideal link of noiseless runs, each at every calibrated window (15).
+# Other links, such as new designs, are built once and not reused, so they
+# only evict.
+_LINKS_KEPT = (2 * 2 + 1) * len(LinkConfig.visibility_by_window)
 
 
 def _build_node(

@@ -280,7 +280,7 @@ def make_config(
     on the ideal link.
     """
     if noiseless:
-        link = defaults.build_link(defaults.ideal_link_config())
+        link = defaults.build_link(defaults.ideal_link_config(), window_ns=window_ns)
         return noiseless_config(mode, link, link, **overrides)
     if mode not in ("conditional", "unconditional"):
         raise ProtocolError(f"unknown mode {mode!r}")
@@ -515,6 +515,7 @@ class _QAverages:
 
 
 _ATTEMPT_BLOCK = 4096
+_MAX_ATTEMPTS = 10**7  # about 2 s of summing
 
 
 def truncated_geometric_sums(p: float, timeout: int, terms) -> tuple[float, np.ndarray]:
@@ -524,13 +525,20 @@ def truncated_geometric_sums(p: float, timeout: int, terms) -> tuple[float, np.n
     the probability mass of the truncated distribution and the weighted sum
     of the rows.  Attempts are summed in fixed blocks, so memory does not
     grow with the timeout, and the sum stops once the mass left after a
-    block, (1 - p)^q, is below 1e-18 of the mass summed.
+    block, (1 - p)^q, is below 1e-18 of the mass summed.  Raises if that
+    takes more than ``_MAX_ATTEMPTS`` attempts.
     """
     if not 0.0 < p <= 1.0:
         raise ProtocolError(f"per-attempt success probability {p} outside (0, 1]")
     if p == 1.0:
         return 1.0, np.asarray(terms(np.ones(1)))[0]
     log1m = math.log1p(-p)
+    needed = min(timeout, math.log(1e-18) / log1m)
+    if needed > _MAX_ATTEMPTS:
+        raise ProtocolError(
+            f"averaging over {needed:.3g} attempts (timeout {timeout}, success probability"
+            f" {p:.3g} per attempt) exceeds {_MAX_ATTEMPTS:.0e}; lower the timeout"
+        )
     mass, acc = 0.0, 0.0
     for start in range(1, timeout + 1, _ATTEMPT_BLOCK):
         qs = np.arange(start, min(start + _ATTEMPT_BLOCK, timeout + 1), dtype=float)
@@ -545,7 +553,8 @@ def truncated_geometric_sums(p: float, timeout: int, terms) -> tuple[float, np.n
 def _q_averages(cfg: ProtocolConfig) -> _QAverages:
     def terms(qs: np.ndarray) -> np.ndarray:
         lam = cfg.memory_fit.decay_factor(qs)
-        t_alice = 2.0 * qs * cfg.attempt_period_s + cfg.alice_total_overhead_s
+        with np.errstate(over="ignore"):  # a wait that overflows has decayed fully
+            t_alice = 2.0 * qs * cfg.attempt_period_s + cfg.alice_total_overhead_s
         weights = decoupling_weights(t_alice, cfg.alice_eigen_fit, cfg.alice_super_fit)
         return np.column_stack([qs, lam, weights, lam[:, None] * weights])
 

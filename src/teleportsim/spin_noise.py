@@ -51,7 +51,8 @@ class DecayFit:
 
     def decay_factor(self, x):
         """Normalized decay exp(-(x/scale)**stretch), i.e. f(x)/f(0) sans offset."""
-        return np.exp(-((x / self.scale) ** self.stretch))
+        with np.errstate(over="ignore"):  # decayed to 0 long before the power overflows
+            return np.exp(-((x / self.scale) ** self.stretch))
 
 
 def dephasing_from_factor(lam: float) -> Channel:

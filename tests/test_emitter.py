@@ -5,6 +5,7 @@ from teleportsim import emitter as em
 
 from .oracles.master_equation import master_equation_populations
 from .oracles.trajectories import simulate_jumps
+from .oracles.window_tables import grid_window_tables
 
 GAMMA = 1.0 / 12.0
 
@@ -48,22 +49,26 @@ def test_probabilities_sum_to_one(pi_emission):
 
 
 def test_density_normalization_mean_photon_number(pi_emission):
-    # First density integrates to P1+P2, second to P2; together the mean
-    # photon number P1 + 2 P2.
-    t = pi_emission.times
-    w = np.full(len(t), t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    total = np.sum((pi_emission.first_density + pi_emission.second_density) * w)
-    assert total == pytest.approx(pi_emission.p1 + 2 * pi_emission.p2, abs=1e-4)
-    assert pi_emission.first_density.min() >= 0
-    assert pi_emission.second_density.min() >= 0
+    # First photons integrate to P1+P2 and second photons to P2; together the
+    # mean photon number P1 + 2 P2.
+    s = pi_emission.solution
+    n = len(s.times)
+    first = np.sum(s.first_rate * em._trapezoid_weights(s.times))
+    second = s.pair_sum(0, n, 0, n - 1)
+    assert first + second == pytest.approx(pi_emission.p1 + 2 * pi_emission.p2, abs=1e-4)
+    assert s.first_rate.min() >= 0
+    # Second-photon mass by each grid time never decreases.
+    by_time = [s.pair_sum(0, n, 0, hi) for hi in range(0, n, 50)]
+    assert np.all(np.diff(by_time) >= 0)
 
 
 def test_second_density_starts_after_first(pi_emission):
-    first_support = np.flatnonzero(pi_emission.first_density > 1e-12)
-    second_support = np.flatnonzero(pi_emission.second_density > 1e-12)
-    assert second_support.min() > first_support.min()
+    # No second photon by the first grid time that sees first photons.
+    s = pi_emission.solution
+    n = len(s.times)
+    first = np.flatnonzero(s.first_rate > 1e-12).min()
+    assert s.pair_sum(0, n, 0, first) <= 1e-12
+    assert s.pair_sum(0, n, 0, first + 50) > 1e-12
 
 
 def test_step_size_precondition():
@@ -163,6 +168,63 @@ def test_window_group_sums(pi_emission):
     assert wp.p_db1_dur + wp.p_db1_aft == pytest.approx(wp.p_db1)
     # one-ZPL-one-PSB classes partition
     assert wp.p_dzb1 + wp.p_dzb2 + wp.p_dzb3 <= 1.0 + 1e-9
+
+
+def test_window_negative_length_rejected(pi_emission):
+    with pytest.raises(em.EmitterError, match="negative"):
+        em.window_probabilities(pi_emission, (21.5, -5.0), (0.0, 190.0))
+    with pytest.raises(em.EmitterError, match="negative"):
+        em.window_probabilities(pi_emission, (1.5, 15.0), (0.0, -1.0))
+    with pytest.raises(em.EmitterError):
+        em.window_probabilities(pi_emission, (float("nan"), 15.0), (0.0, 190.0))
+
+
+def _window_cases():
+    """(pulse, params, zpl window, psb window) covering the built links and edge windows."""
+    params = em.EmitterParams(gamma=GAMMA, alpha=0.07)
+    grid = em.TimeGrid()
+    cases = []
+    # The calibrated AB and BC pulses at the window starts build_link uses.
+    for p2, duration in ((0.06, 5.0), (0.08, 6.0)):
+        pulse = em.calibrate_pulse(p2, em.PulseShape("square", 1.0, duration), params, grid)
+        for window in (15.0, 10.0, 7.5):
+            cases.append((pulse, params, (1.5 + 15.0 - window, window), (0.0, 190.0)))
+        # Full, zero-length, and side-band windows ending before or starting
+        # after the pulse end.
+        cases += [
+            (pulse, params, (0.0, 200.0), (0.0, 200.0)),
+            (pulse, params, (4.0, 0.0), (0.0, 0.0)),
+            (pulse, params, (1.5, 15.0), (0.0, duration - 1.0)),
+            (pulse, params, (1.5, 15.0), (duration + 2.0, 100.0)),
+            (pulse, params, (duration, 10.0), (duration, 50.0)),
+        ]
+    rng = np.random.default_rng(2110)
+    for _ in range(20):
+        kind = str(rng.choice(["square", "gaussian"]))
+        duration, start = rng.uniform(1.0, 8.0), rng.uniform(0.0, 3.0)
+        unit = em.PulseShape(kind, 1.0, duration, start)
+        pulse = em.PulseShape(kind, rng.uniform(0.8, 1.2) * np.pi / unit.area(), duration, start)
+        pars = em.EmitterParams(gamma=1.0 / rng.uniform(10.0, 13.0), alpha=0.05)
+        zpl = (rng.uniform(0.0, 20.0), rng.uniform(0.0, 30.0))
+        psb_start = rng.uniform(0.0, 8.0)
+        cases.append((pulse, pars, zpl, (psb_start, rng.uniform(0.0, 150.0))))
+    return cases
+
+
+def test_window_tables_match_grid_oracle():
+    # The prefix-sum tables against the point-by-point sums over the grid.
+    grid = em.TimeGrid()
+    for pulse, pars, zpl, psb in _window_cases():
+        got = em.window_probabilities(em.solve_emission(pulse, pars, grid), zpl, psb)
+        want = grid_window_tables(pulse, pars, grid, zpl, psb)
+        assert (got.zpl_window, got.psb_window, got.pulse_end) == (
+            want.zpl_window,
+            want.psb_window,
+            want.pulse_end,
+        )
+        for name in ("p_dz1", "p_db1_dur", "p_db1_aft", "zz", "bb", "zb", "bz"):
+            diff = np.max(np.abs(np.subtract(getattr(got, name), getattr(want, name))))
+            assert diff <= 1e-12, (pulse, zpl, psb, name, diff)
 
 
 def test_post_pulse_state_components(params, pi_emission):

@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from teleportsim import cli, harness, protocol
 
@@ -27,32 +29,68 @@ def test_config_round_trip():
         bar=False,
     )
     text = harness.emit_config_text(scen.to_values())
-    back = harness.Scenario.from_values(harness.parse_config_text(text))
+    back = harness.Scenario.from_values(harness.read_config_text(text))
     assert back == scen
+
+
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    name=st.text(min_size=1, max_size=12),
+    mode=st.sampled_from(["analytic", "monte-carlo"]),
+    shots=st.integers(1, 2**70),
+    seed=st.integers(0, 2**64 - 1),
+    outputs=st.lists(st.sampled_from(harness.OUTPUT_KINDS), min_size=1, max_size=4),
+    protocol_mode=st.sampled_from(["conditional", "unconditional"]),
+    window_ns=finite,
+    timeout=st.integers(-(2**70), 2**70),
+    toggles=st.tuples(st.booleans(), st.booleans(), st.booleans(), st.booleans()),
+    rates=st.tuples(st.floats(0.0, 1e300, exclude_min=True), finite, finite),
+)
+def test_config_text_round_trip_property(
+    name, mode, shots, seed, outputs, protocol_mode, window_ns, timeout, toggles, rates
+):
+    try:
+        scen = harness.Scenario(
+            name=name,
+            mode=mode,
+            shots=shots,
+            seed=seed,
+            outputs=tuple(outputs),
+            protocol_mode=protocol_mode,
+            window_ns=window_ns,
+            timeout=timeout,
+            bar=toggles[0],
+            improved_memory=toggles[1],
+            tailored_heralding=toggles[2],
+            noiseless=toggles[3],
+            attempt_period_s=rates[0],
+            cycle_overhead_s=rates[1],
+            event_overhead_s=rates[2],
+        )
+    except harness.HarnessError:
+        assume(False)
+    text = harness.emit_config_text(scen.to_values())
+    assert harness.Scenario.from_values(harness.read_config_text(text)) == scen
+
+
+@pytest.mark.parametrize("name", ["v#1", "#", " v", "v ", "v\n1", "v\r", "v\u2028w", "a\0b"])
+def test_names_that_do_not_read_back_rejected(name):
+    with pytest.raises(harness.HarnessError, match="scenario.name"):
+        harness.Scenario(name=name)
 
 
 def test_config_parse_errors():
     with pytest.raises(harness.HarnessError):
-        harness.parse_config_text("scenario.name demo")
+        harness.read_config_text("scenario.name demo")
     with pytest.raises(harness.HarnessError):
         harness.Scenario.from_values({"scenario.name": "x", "scenario.flavor": "mint"})
     with pytest.raises(harness.HarnessError):
         harness.Scenario(name="x", mode="approximate")
     with pytest.raises(harness.HarnessError):
         harness.Scenario(name="x", outputs=("plots",))
-
-
-def test_config_value_coercion():
-    values = harness.parse_config_text(
-        "a.b = on\na.c = 7\na.d = 2.5e-3\na.e = hello\na.f = x, y\n"
-    )
-    assert values == {
-        "a.b": True,
-        "a.c": 7,
-        "a.d": 2.5e-3,
-        "a.e": "hello",
-        "a.f": ("x", "y"),
-    }
 
 
 def test_shot_rng_reproducible_and_independent():
@@ -89,7 +127,7 @@ def test_run_scenario_summary_contents(tmp_path):
     assert summary["parameters"]["protocol.mode"] == "conditional"
     assert 0.65 < summary["results"]["average_fidelity"] < 0.75
     effective = tmp_path / "experiment-conditional.effective.cfg"
-    back = harness.Scenario.from_values(harness.parse_config_text(effective.read_text()))
+    back = harness.Scenario.from_values(harness.read_config_text(effective.read_text()))
     assert back == report.scenario
 
 
@@ -97,6 +135,27 @@ def test_noiseless_scenario(tmp_path):
     report = harness.run_scenario(SCENARIOS / "noiseless.cfg", tmp_path)
     for f in report.results["fidelities"].values():
         assert f >= 1 - 1e-9
+
+
+def test_noiseless_links_follow_window(tmp_path, capsys):
+    # The ideal link is built at the scenario's window, not at its own.
+    cfg = protocol.make_config(noiseless=True, window_ns=7.5)
+    assert cfg.link_ab.zpl_window_ns == 7.5
+    assert cfg.link_ab.node1.windows.zpl_window == (9.0, 7.5)
+    argv = ["rates", str(SCENARIOS / "noiseless.cfg"), "--windows", "15,7.5,0.5"]
+    assert cli.main(argv + ["--out", str(tmp_path)]) == 0
+    rows = json.loads((tmp_path / "noiseless.rates.json").read_text())
+    assert [r["window_ns"] for r in rows] == [15.0, 7.5, 0.5]
+    rates = [r["rate_hz"] for r in rows]
+    assert rates[0] > rates[1] > rates[2] > 0.0
+    capsys.readouterr()
+
+
+def test_noiseless_negative_window_rejected(tmp_path, capsys):
+    path = tmp_path / "negative.cfg"
+    path.write_text("scenario.name = negative\nprotocol.noiseless = on\nprotocol.window_ns = -5\n")
+    assert cli.main(["run", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert "window" in _one_error_line(capsys.readouterr())
 
 
 def test_link_budget_tables():

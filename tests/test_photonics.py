@@ -41,10 +41,7 @@ def heralded_ab(link_ab):
 
 
 def _simple_emission(p0, p1, p2):
-    t = np.linspace(0.0, 10.0, 11)
-    return emitter.EmissionProbabilities(
-        p0, p1, p2, t, np.zeros_like(t), np.zeros_like(t), pulse_end=2.0
-    )
+    return emitter.EmissionProbabilities(p0, p1, p2)
 
 
 def _flat_windows(p_dz1=0.8, p_dur=0.1, p_aft=0.85):
@@ -392,7 +389,8 @@ def test_uncalibrated_window_rejected():
 
 def test_link_keeps_no_emitter_grid():
     # The emitter's grid solution is only needed to integrate the windows; a
-    # built link drops it, so the link cache holds well under 1 MB per link.
+    # built link drops it and keeps three floats per emission, so the link
+    # cache holds well under 128 KiB per link.
     cfg = params.ideal_link_config("no-grid")
     for window in (15.0, 10.0):
         link = params.build_link(cfg, window_ns=window)
@@ -409,7 +407,7 @@ def test_link_keeps_no_emitter_grid():
     finally:
         tracemalloc.stop()
     assert len(links) == n
-    assert retained / n < 1 << 20
+    assert retained / n < 128 << 10
 
 
 def test_heralded_link_collectable(link_ab):

@@ -367,6 +367,18 @@ def test_truncated_geometric_sums_match_full_sum(timeout):
         pt.truncated_geometric_sums(0.0, timeout, lambda q: q[:, None])
 
 
+def test_truncated_geometric_sums_bounded_work():
+    # A timeout far beyond where the tail is negligible sums only up to that
+    # point, and a sum that would need more than 1e7 attempts is refused
+    # instead of running for hours (the ideal link heralds with p ~ 1e-13).
+    mass, _ = pt.truncated_geometric_sums(1e-3, 2**70, lambda q: q[:, None])
+    assert mass == pytest.approx(1.0, abs=1e-15)
+    with pytest.raises(pt.ProtocolError, match="lower the timeout"):
+        pt.truncated_geometric_sums(1e-13, 2**70, lambda q: q[:, None])
+    with pytest.raises(pt.ProtocolError, match="lower the timeout"):
+        pt.run_teleportation_analytic(pt.make_config(noiseless=True, timeout=2**70), "+z")
+
+
 def test_long_timeout_bounded_memory():
     # A timeout of 1e6 attempts allocates no array of that length (one
     # would take about 120 MB).
