@@ -327,7 +327,7 @@ class ScenarioReport:
 
 def _analytic_results(scenario: Scenario) -> dict:
     cfg = scenario.config
-    per_state = {w: protocol.run_teleportation_analytic(cfg, w) for w in CARDINAL_STATES}
+    per_state = protocol.six_state_results(cfg)
     res = per_state["+z"]
     return {
         "fidelities": {k: float(r.fidelity) for k, r in per_state.items()},
@@ -387,7 +387,8 @@ def teleport_budget_table(scenario: Scenario) -> dict:
     """Teleported-state infidelity attributed to each preparation/measurement noise.
 
     Link noise stays on throughout; each row is the infidelity increase over
-    the links-only protocol when that single source is restored.
+    the links-only protocol when that single source is restored.  Rows that
+    restore only fields the teleporter does not read share its preparation.
     """
     base_cfg = scenario.config
     # The links-only protocol: its ideal readouts accept every pattern, which
@@ -402,25 +403,18 @@ def teleport_budget_table(scenario: Scenario) -> dict:
     f0 = protocol.average_fidelity(base)
     rows = {}
     restore = {
-        "ionization_alice": lambda c: replace(c, ionization_alice=base_cfg.ionization_alice),
-        "alice_decoupling": lambda c: replace(
-            c, alice_eigen_fit=base_cfg.alice_eigen_fit, alice_super_fit=base_cfg.alice_super_fit
-        ),
-        "bob_memory_storage": lambda c: replace(c, store_depol_bob=base_cfg.store_depol_bob),
-        "bob_memory_dephasing": lambda c: replace(c, memory_fit=base_cfg.memory_fit),
-        "charlie_memory_storage": lambda c: replace(
-            c, store_depol_charlie=base_cfg.store_depol_charlie
-        ),
-        "bob_readout": lambda c: replace(c, bob_bsm=base_cfg.bob_bsm),
-        "charlie_readout": lambda c: replace(c, charlie_bsm=base_cfg.charlie_bsm),
-        "state_preparation": lambda c: replace(
-            c,
-            prep_init_error=base_cfg.prep_init_error,
-            prep_pulse_error=base_cfg.prep_pulse_error,
-        ),
+        "ionization_alice": ("ionization_alice",),
+        "alice_decoupling": ("alice_eigen_fit", "alice_super_fit"),
+        "bob_memory_storage": ("store_depol_bob",),
+        "bob_memory_dephasing": ("memory_fit",),
+        "charlie_memory_storage": ("store_depol_charlie",),
+        "bob_readout": ("bob_bsm",),
+        "charlie_readout": ("charlie_bsm",),
+        "state_preparation": ("prep_init_error", "prep_pulse_error"),
     }
-    for name, apply in restore.items():
-        rows[name] = float(f0 - protocol.average_fidelity(apply(base)))
+    for name, fields in restore.items():
+        cfg = protocol.replace_config(base, **{f: getattr(base_cfg, f) for f in fields})
+        rows[name] = float(f0 - protocol.average_fidelity(cfg))
     rows["links_only_infidelity"] = float(1.0 - f0)
     rows["combined"] = float(1.0 - protocol.average_fidelity(base_cfg))
     return rows

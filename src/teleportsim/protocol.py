@@ -10,9 +10,11 @@ measurement, and apply Alice's conditional correction.
 Two execution modes share one noise model.  The analytic mode averages
 exactly over Bell outcomes, herald signs and the attempt-number
 distribution: it prepares the teleporter once per configuration
-(``ProtocolConfig.teleporter``) and sends every input through it.  Each
-Bell measurement is one contraction giving all four outcomes, readout
-errors one 4x4 confusion matrix, and the acceptance policy a mask.  The
+(``ProtocolConfig.teleporter``) and sends the inputs through it as one
+stack, so the six cardinal states take one contraction.  Each Bell
+measurement is one contraction giving all four outcomes for every input,
+readout errors one 4x4 confusion matrix, the feed-forward corrections
+constant tables per storage frame, and the acceptance policy a mask.  The
 Monte Carlo mode runs the full sequence shot by shot as three node state
 machines exchanging classical messages over an in-process bus.
 """
@@ -30,6 +32,8 @@ import numpy as np
 from . import params as defaults
 from .hilbert import (
     CARDINAL_STATES,
+    EIG_TOL,
+    HERM_TOL,
     PAULI_X,
     PAULI_Z,
     PAULIS,
@@ -53,6 +57,7 @@ from .spin_noise import (
     depolarizing,
     ionization_event,
     prepare_input_state,
+    prepared_inputs,
     single_readout_fidelities,
 )
 
@@ -124,6 +129,32 @@ def teleport_correction(m: int, c: int, frame_charlie: np.ndarray | None = None)
     # Teleporting phi_in through (1 (x) Rc)|Phi+> with <B|_{MC, in}:
     # alice[a] = sum_m phi[a, m] B*[m, k] phi_in[k]  => W = phi @ bell.conj()
     return _undo(phi @ bell.conj(), "the ideal teleporter")
+
+
+_SIGNS = (+1, -1)
+
+
+def _constant(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+# The feed-forward corrections depend only on the storage frame, so they are
+# built once: Alice's four per Charlie frame, in ``BELL_OUTCOMES`` order, and
+# Charlie's (1 (x) correction) on the Alice-Charlie pair per Bob frame,
+# indexed (sign ab, sign bc, Bob outcome).
+_ALICE_FIX = {
+    name: _constant(np.stack([teleport_correction(m, c, r) for m, c in BELL_OUTCOMES]))
+    for name, r in STORAGE_FRAMES.items()
+}
+_SWAP_FIX = {
+    name: _constant(np.array([
+        [[np.kron(np.eye(2), swap_correction(m, c, s1, s2, r)) for m, c in BELL_OUTCOMES]
+         for s2 in _SIGNS]
+        for s1 in _SIGNS
+    ]))
+    for name, r in STORAGE_FRAMES.items()
+}
 
 
 def phase_correction(n: int, phi_a: float) -> np.ndarray:
@@ -231,6 +262,25 @@ class ProtocolConfig:
     def teleporter(self) -> Teleporter:
         """The input-independent teleporter, prepared once per configuration."""
         return _prepare_teleporter(self)
+
+
+#: The ``ProtocolConfig`` fields the prepared teleporter reads.  Charlie's
+#: measurement, Alice's ionization and readout, input preparation, the
+#: first link's attempt cap and the compensated phases act later.
+TELEPORTER_FIELDS = frozenset({
+    "link_ab", "link_bc", "bob_bsm", "memory_fit", "alice_eigen_fit", "alice_super_fit",
+    "store_depol_bob", "store_depol_charlie", "timeout", "attempt_period_s",
+    "alice_total_overhead_s", "frame_bob", "frame_charlie",
+})
+
+
+def replace_config(cfg: ProtocolConfig, **changes) -> ProtocolConfig:
+    """``replace(cfg, **changes)`` that keeps ``cfg``'s prepared teleporter
+    when none of the changed fields is in ``TELEPORTER_FIELDS``."""
+    new = replace(cfg, **changes)
+    if TELEPORTER_FIELDS.isdisjoint(changes):
+        new.__dict__["teleporter"] = cfg.teleporter
+    return new
 
 
 def noiseless_config(
@@ -558,7 +608,13 @@ def _q_averages(cfg: ProtocolConfig) -> _QAverages:
         weights = decoupling_weights(t_alice, cfg.alice_eigen_fit, cfg.alice_super_fit)
         return np.column_stack([qs, lam, weights, lam[:, None] * weights])
 
-    mass, sums = truncated_geometric_sums(build_heralded(cfg.link_bc).p_success, cfg.timeout, terms)
+    p = build_heralded(cfg.link_bc).p_success
+    if not p > 0.0:
+        raise ProtocolError(
+            "the Bob-Charlie link never heralds: success probability 0 per attempt"
+            f" at a {cfg.link_bc.zpl_window_ns:g} ns detection window"
+        )
+    mass, sums = truncated_geometric_sums(p, cfg.timeout, terms)
     sums = sums / mass
     return _QAverages(
         p_success=mass,
@@ -567,9 +623,6 @@ def _q_averages(cfg: ProtocolConfig) -> _QAverages:
         alice0=sums[2:6],
         alice1=sums[6:10],
     )
-
-
-_SIGNS = (+1, -1)
 
 
 def _bob_stage(cfg: ProtocolConfig) -> np.ndarray:
@@ -587,11 +640,7 @@ def _bob_stage(cfg: ProtocolConfig) -> np.ndarray:
     bc = np.stack([hl_bc.rho_plus.matrix, hl_bc.rho_minus.matrix])  # (comm_b, comm_c)
     true = _bell_outcomes(ab[:, :, None], bc)  # lambda, sign ab, sign bc, outcome
     assigned = np.einsum("jk,lstkab->lstjab", cfg.bob_bsm.confusion_matrix, true)
-    fix = np.array([
-        [[np.kron(np.eye(2), swap_correction(m, c, s1, s2, cfg.r_bob)) for m, c in BELL_OUTCOMES]
-         for s2 in _SIGNS]
-        for s1 in _SIGNS
-    ])
+    fix = _SWAP_FIX[cfg.frame_bob]
     corrected = fix @ assigned @ fix.conj().swapaxes(-1, -2)
     p_ab = np.array([hl_ab.p_plus, hl_ab.p_minus]) / hl_ab.p_success
     p_bc = np.array([hl_bc.p_plus, hl_bc.p_minus]) / hl_bc.p_success
@@ -599,8 +648,21 @@ def _bob_stage(cfg: ProtocolConfig) -> np.ndarray:
     return np.einsum("stk,lstkab->lab", weights, corrected)
 
 
-def _apply_pauli_mix(mat: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    return sum(w * (s @ mat @ s.conj().T) for w, s in zip(weights, PAULIS))
+def _check_states(states: np.ndarray, what: str) -> None:
+    """Raise unless every matrix of the stack is Hermitian and positive.
+
+    ``QuantumState``'s tolerances, checked on the whole stack at once:
+    Hermitian within ``HERM_TOL`` and no eigenvalue below
+    -``EIG_TOL`` max(1, trace).
+    """
+    if not np.all(np.isfinite(states)):
+        raise ProtocolError(f"{what}: non-finite matrix entries")
+    if np.abs(states - states.conj().swapaxes(-1, -2)).max() > HERM_TOL:
+        raise ProtocolError(f"{what}: matrix is not Hermitian within tolerance")
+    low = np.linalg.eigvalsh(states).min(axis=-1)
+    weight = np.trace(states, axis1=-2, axis2=-1).real
+    if np.any(low < -EIG_TOL * np.maximum(1.0, weight)):
+        raise ProtocolError(f"{what}: negative eigenvalue {low.min():.3e}")
 
 
 @dataclass(frozen=True)
@@ -631,9 +693,12 @@ def _prepare_teleporter(cfg: ProtocolConfig) -> Teleporter:
     stored = _on_second(
         depolarizing(cfg.store_depol_charlie).kraus, _on_second([cfg.r_charlie], swapped)
     )
-    for mat, weight in zip(stored, np.trace(swapped, axis1=1, axis2=2).real):
-        # Hermitian, positive, and the trace Bob's swap left (storage keeps it).
-        QuantumState((2, 2), ("alice", "mem_c"), mat, float(weight))
+    _check_states(stored, "stored Alice-Charlie pair")
+    if not np.allclose(
+        np.trace(stored, axis1=1, axis2=2), np.trace(swapped, axis1=1, axis2=2),
+        rtol=1e-9, atol=1e-9,
+    ):
+        raise ProtocolError("storage at Charlie changed the pair's trace")
     for arr in (swapped, stored):
         arr.flags.writeable = False
 
@@ -670,50 +735,120 @@ class AnalyticResult:
     mean_attempts_bc: float
 
 
+def _input_vector(which) -> np.ndarray:
+    """A pure input given as a vector, normalized; refuses what is not a qubit state."""
+    vec = np.asarray(which, dtype=complex).ravel()
+    if vec.shape != (2,) or not np.all(np.isfinite(vec)) or not np.any(vec):
+        raise ProtocolError(f"input vector {which!r} is not a finite nonzero qubit state")
+    # Scaled part by part first, so neither the norm of huge entries nor a
+    # complex division by a tiny one overflows.
+    scale = np.abs(vec).max()
+    vec = vec.real / scale + 1j * (vec.imag / scale)
+    return vec / np.linalg.norm(vec)
+
+
 def _input_state(cfg: ProtocolConfig, which) -> tuple[QuantumState, np.ndarray]:
-    """Input density matrix and the pure tomography target."""
+    """Input state and the pure tomography target, for the shot-by-shot path."""
     if isinstance(which, str):
         psi = prepare_input_state(
             which, cfg.prep_init_error, cfg.prep_pulse_error, label="input"
         )
         return psi, CARDINAL_STATES[which]
-    vec = np.asarray(which, dtype=complex).ravel()
-    vec = vec / np.linalg.norm(vec)
+    vec = _input_vector(which)
     return state_from_vector(vec, (2,), ("input",)), vec
 
 
-def _alice_states(
-    cfg: ProtocolConfig, which, correct: bool = True
-) -> tuple[np.ndarray, np.ndarray]:
-    """Alice's unnormalized state per assigned Charlie outcome, and the target.
+_CARDINALS = tuple(CARDINAL_STATES)
+_CARDINAL_TARGETS = _constant(np.stack(list(CARDINAL_STATES.values())))
+_PAULI_STACK = _constant(np.stack(PAULIS))
 
-    The states, (4, 2, 2) in ``BELL_OUTCOMES`` order, follow Charlie's Bell
-    measurement of the stored state and the input, his readout confusion,
-    Alice's correction (skipped when ``correct`` is off), her decoupling
-    noise averaged over the attempt count jointly with Bob's memory
-    dephasing, and ionization.  Charlie's acceptance policy is the caller's.
+
+def _cardinal_inputs(cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
+    """The six prepared cardinal inputs, (6, 2, 2), and their targets, (6, 2)."""
+    inputs = prepared_inputs(_CARDINALS, cfg.prep_init_error, cfg.prep_pulse_error)
+    return inputs, _CARDINAL_TARGETS
+
+
+def _alice_states(cfg: ProtocolConfig, inputs: np.ndarray, correct: bool = True) -> np.ndarray:
+    """Alice's unnormalized state per input and assigned Charlie outcome.
+
+    ``inputs`` is a (n, 2, 2) stack of input density matrices; the result,
+    (n, 4, 2, 2) with outcomes in ``BELL_OUTCOMES`` order, follows Charlie's
+    Bell measurement of the stored state and each input, his readout
+    confusion, Alice's correction (skipped when ``correct`` is off), her
+    decoupling noise averaged over the attempt count jointly with Bob's
+    memory dephasing, and ionization.  Charlie's acceptance policy is the
+    caller's.  The stack is checked once, as a whole.
     """
     tp = cfg.teleporter
-    psi_in, target = _input_state(cfg, which)
-    true = _bell_outcomes(tp.stored, psi_in.matrix)  # lambda, outcome
-    g0, g1 = np.einsum("jk,lkab->ljab", cfg.charlie_bsm.confusion_matrix, true)
+    true = _bell_outcomes(tp.stored, inputs[:, None])  # input, lambda, outcome
+    states = np.einsum("jk,nlkab->nljab", cfg.charlie_bsm.confusion_matrix, true)
     if correct:
-        u = np.stack([teleport_correction(m, c, cfg.r_charlie) for m, c in BELL_OUTCOMES])
-        uh = u.conj().swapaxes(1, 2)
-        g0, g1 = u @ g0 @ uh, u @ g1 @ uh
+        u = _ALICE_FIX[cfg.frame_charlie]
+        states = u @ states @ u.conj().swapaxes(-1, -2)
+    # The states are affine in the dephasing factor lambda: E[c (g0 + lambda
+    # (g1 - g0))] mixes g0 with weights E[c] - E[c lambda] and g1 with E[c lambda].
     qa = tp.averages
-    avg = _apply_pauli_mix(g0, qa.alice0) + _apply_pauli_mix(g1 - g0, qa.alice1)
+    mix = np.stack([qa.alice0 - qa.alice1, qa.alice1])
+    avg = np.einsum("li,iab,nlkbc,idc->nkad", mix, _PAULI_STACK, states, _PAULI_STACK.conj())
     # Ionization replaces Alice's qubit with the maximally mixed state.
     ion = cfg.ionization_alice
-    weight = np.trace(avg, axis1=1, axis2=2).real
-    return (1.0 - ion) * avg + ion * weight[:, None, None] * np.eye(2) / 2.0, target
+    weight = np.trace(avg, axis1=-2, axis2=-1).real
+    alice = (1.0 - ion) * avg + ion * weight[..., None, None] * np.eye(2) / 2.0
+    _check_states(alice, "Alice's teleported states")
+    return alice
 
 
-def _weights_and_fidelities(alice: np.ndarray, target: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-outcome weight and fidelity to the target (0 for an empty outcome)."""
-    weight = np.trace(alice, axis1=1, axis2=2).real
-    overlap = np.real(target.conj() @ alice @ target)
-    return weight, np.divide(overlap, weight, out=np.zeros(4), where=weight > 0.0)
+def _overlaps(states: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """<t|rho|t> per input: ``states`` (n, ..., 2, 2), ``targets`` (n, 2)."""
+    t = targets.reshape(len(targets), *(1,) * (states.ndim - 3), 2)
+    return np.real(t.conj()[..., None, :] @ states @ t[..., :, None])[..., 0, 0]
+
+
+def _weights_and_fidelities(alice: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per-input, per-outcome weight and fidelity to the target (0 for an empty outcome)."""
+    weight = np.trace(alice, axis1=-2, axis2=-1).real
+    overlap = _overlaps(alice, targets)
+    return weight, np.divide(overlap, weight, out=np.zeros_like(weight), where=weight > 0.0)
+
+
+def _analytic_results(
+    cfg: ProtocolConfig, inputs: np.ndarray, targets: np.ndarray
+) -> list[AnalyticResult]:
+    """One ``AnalyticResult`` per row of the (n, 2, 2) input stack."""
+    tp = cfg.teleporter
+    alice = _alice_states(cfg, inputs)
+    weight, fid = _weights_and_fidelities(alice, targets)
+    keep = cfg.charlie_bsm.accepted & (weight > 0.0)
+    total = np.where(keep, weight, 0.0).sum(axis=1)
+    if not np.all(total > 0.0):
+        raise ProtocolError("no Bell outcome Charlie accepts has any weight")
+    rho = np.where(keep[..., None, None], alice, 0.0).sum(axis=1) / total[:, None, None]
+    _check_states(rho, "teleported state")
+    fidelity = _overlaps(rho, targets)
+    accept = (
+        tp.averages.p_success
+        * cfg.bob_bsm.acceptance_probability
+        * cfg.charlie_bsm.acceptance_probability
+        * total
+    )
+    return [
+        AnalyticResult(
+            rho=QuantumState((2,), ("alice",), rho[i], validate=False),
+            fidelity=float(fidelity[i]),
+            per_outcome={
+                mc: (float(weight[i, k]), float(fid[i, k]))
+                for k, mc in enumerate(BELL_OUTCOMES)
+                if keep[i, k]
+            },
+            accept_probability=float(accept[i]),
+            teleporter_fidelity=tp.teleporter_fidelity,
+            swap_fidelity=tp.swap_fidelity,
+            bob_accept_weight=tp.bob_weight,
+            mean_attempts_bc=tp.averages.mean_attempts,
+        )
+        for i in range(len(inputs))
+    ]
 
 
 def run_teleportation_analytic(cfg: ProtocolConfig, which) -> AnalyticResult:
@@ -726,36 +861,22 @@ def run_teleportation_analytic(cfg: ProtocolConfig, which) -> AnalyticResult:
     distribution (memory dephasing and Alice's decoupling channel are
     averaged jointly), ionization, and state-preparation noise.
     """
-    tp = cfg.teleporter
-    alice, target = _alice_states(cfg, which)
-    weight, fid = _weights_and_fidelities(alice, target)
-    keep = cfg.charlie_bsm.accepted & (weight > 0.0)
-    weight_total = float(weight[keep].sum())
-    accept = (
-        tp.averages.p_success
-        * cfg.bob_bsm.acceptance_probability
-        * cfg.charlie_bsm.acceptance_probability
-        * weight_total
-    )
-    rho = QuantumState((2,), ("alice",), alice[keep].sum(axis=0) / weight_total)
-    return AnalyticResult(
-        rho=rho,
-        fidelity=float(np.real(target.conj() @ rho.matrix @ target)),
-        per_outcome={
-            mc: (float(weight[k]), float(fid[k]))
-            for k, mc in enumerate(BELL_OUTCOMES)
-            if keep[k]
-        },
-        accept_probability=float(accept),
-        teleporter_fidelity=tp.teleporter_fidelity,
-        swap_fidelity=tp.swap_fidelity,
-        bob_accept_weight=tp.bob_weight,
-        mean_attempts_bc=tp.averages.mean_attempts,
-    )
+    if isinstance(which, str):
+        inputs = prepared_inputs((which,), cfg.prep_init_error, cfg.prep_pulse_error)
+        target = CARDINAL_STATES[which]
+    else:
+        target = _input_vector(which)
+        inputs = np.outer(target, target.conj())[None]
+    return _analytic_results(cfg, inputs, target[None])[0]
+
+
+def six_state_results(cfg: ProtocolConfig) -> dict[str, AnalyticResult]:
+    """``run_teleportation_analytic`` for the six cardinal states, sent through at once."""
+    return dict(zip(_CARDINALS, _analytic_results(cfg, *_cardinal_inputs(cfg))))
 
 
 def six_state_fidelities(cfg: ProtocolConfig) -> dict[str, float]:
-    return {w: run_teleportation_analytic(cfg, w).fidelity for w in CARDINAL_STATES}
+    return {w: r.fidelity for w, r in six_state_results(cfg).items()}
 
 
 def average_fidelity(cfg: ProtocolConfig) -> float:
@@ -772,10 +893,9 @@ def per_bsm_outcome_fidelity(cfg: ProtocolConfig) -> dict[tuple[int, int], float
 
     Every outcome is reported, whatever Charlie's acceptance policy.
     """
-    sums = np.zeros(4)
-    for which in CARDINAL_STATES:
-        sums += _weights_and_fidelities(*_alice_states(cfg, which))[1]
-    return {mc: float(s / 6.0) for mc, s in zip(BELL_OUTCOMES, sums)}
+    inputs, targets = _cardinal_inputs(cfg)
+    fid = _weights_and_fidelities(_alice_states(cfg, inputs), targets)[1]
+    return {mc: float(s / 6.0) for mc, s in zip(BELL_OUTCOMES, fid.sum(axis=0))}
 
 
 def no_feedforward_fidelity(cfg: ProtocolConfig) -> float:
@@ -786,12 +906,10 @@ def no_feedforward_fidelity(cfg: ProtocolConfig) -> float:
     uncorrected teleportation is the maximally mixed state, so ideal
     components give exactly one half.
     """
-    fids = []
-    for which in CARDINAL_STATES:
-        alice, target = _alice_states(cfg, which, correct=False)
-        rho = alice.sum(axis=0) / np.trace(alice, axis1=1, axis2=2).real.sum()
-        fids.append(float(np.real(target.conj() @ rho @ target)))
-    return float(np.mean(fids))
+    inputs, targets = _cardinal_inputs(cfg)
+    alice = _alice_states(cfg, inputs, correct=False)
+    weight = np.trace(alice, axis1=-2, axis2=-1).real.sum(axis=1)
+    return float(np.mean(_overlaps(alice.sum(axis=1) / weight[:, None, None], targets)))
 
 
 def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator) -> TeleportOutcome:

@@ -286,27 +286,29 @@ _CARDINAL_ROTATIONS = {
 }
 
 
+def prepared_inputs(names, p_init: float, p_mw: float) -> np.ndarray:
+    """Cardinal states degraded by initialization and microwave-gate errors.
+
+    Returns a (n, 2, 2) stack of density matrices, one per name in ``names``.
+    Initialization leaves the wrong population with probability p_init; every
+    state except +z then needs a microwave rotation modeled as the ideal
+    unitary followed by depolarizing noise p_mw, which on a trace-one state
+    is (1 - p_mw) U rho U^dag + p_mw I/2.
+    """
+    unknown = [w for w in names if w not in _CARDINAL_ROTATIONS]
+    if unknown:
+        raise SpinNoiseError(f"unknown cardinal state {unknown[0]!r}")
+    for name, p in (("initialization", p_init), ("depolarizing", p_mw)):
+        if not 0.0 <= p <= 1.0:
+            raise SpinNoiseError(f"{name} probability {p} outside [0, 1]")
+    u = np.stack([_CARDINAL_ROTATIONS[w] for w in names])
+    rho = u @ np.diag([1.0 - p_init, p_init]) @ u.conj().swapaxes(1, 2)
+    p = np.array([0.0 if w == "+z" else p_mw for w in names])[:, None, None]
+    return (1.0 - p) * rho + p * np.eye(2) / 2.0
+
+
 def prepare_input_state(
     which: str, p_init: float, p_mw: float, label: str = "input"
 ) -> QuantumState:
-    """Cardinal state degraded by initialization and microwave-gate errors.
-
-    Initialization leaves the wrong population with probability p_init; every
-    state except +z then needs a microwave rotation modeled as the ideal
-    unitary followed by depolarizing noise p_mw.
-    """
-    if which not in _CARDINAL_ROTATIONS:
-        raise SpinNoiseError(f"unknown cardinal state {which!r}")
-    rho = np.diag([1.0 - p_init, p_init]).astype(complex)
-    u = _CARDINAL_ROTATIONS[which]
-    rho = u @ rho @ u.conj().T
-    state = QuantumState((2,), (label,), rho)
-    if which != "+z":
-        state = _apply_single(state, depolarizing(p_mw))
-    return state
-
-
-def _apply_single(state: QuantumState, channel: Channel) -> QuantumState:
-    from .hilbert import apply_channel
-
-    return apply_channel(state, channel, [state.labels[0]])
+    """One prepared cardinal state (see ``prepared_inputs``), validated."""
+    return QuantumState((2,), (label,), prepared_inputs((which,), p_init, p_mw)[0])

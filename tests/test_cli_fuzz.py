@@ -33,7 +33,7 @@ def _check(argv, capsys):
     else:
         lines = err.strip().splitlines()
         assert rc == 2 and len(lines) == 1 and lines[0].startswith("error:"), (argv, rc, err)
-    return rc
+    return rc, err
 
 
 @pytest.mark.parametrize("key", KEYS)
@@ -57,3 +57,17 @@ def test_cli_rates_windows(scenario, tmp_path, capsys):
     for windows in WINDOWS:
         argv = ["rates", str(SCENARIOS / scenario), f"--windows={windows}"]
         _check(argv + ["--out", str(tmp_path)], capsys)
+
+
+def test_cli_window_without_heralds(tmp_path, capsys):
+    # A detection window too short to hold a grid time never heralds; the
+    # error line names the link and the window.
+    path = tmp_path / "zero.cfg"
+    path.write_text("scenario.name = zero\nprotocol.noiseless = on\nprotocol.window_ns = 0\n")
+    cases = [
+        (["run", str(path)], "at a 0 ns detection window"),
+        (["rates", str(SCENARIOS / "noiseless.cfg"), "--windows", "1e-300"], "at a 1e-300 ns"),
+    ]
+    for argv, window in cases:
+        rc, err = _check(argv + ["--out", str(tmp_path / "out")], capsys)
+        assert rc == 2 and "Bob-Charlie link" in err and window in err, err

@@ -462,7 +462,8 @@ def test_cli_rates_windows_not_numbers(tmp_path, capsys):
 
 def test_one_teleporter_per_config(tmp_path, capsys, monkeypatch):
     # Every output of a run reads one prepared teleporter; a ladder prepares
-    # one per step, a rate sweep one per window.
+    # one per step, a rate sweep one per window, and a teleport budget one
+    # per distinct set of the fields the teleporter reads.
     calls = []
     prepare = protocol._prepare_teleporter
 
@@ -472,9 +473,35 @@ def test_one_teleporter_per_config(tmp_path, capsys, monkeypatch):
 
     monkeypatch.setattr(protocol, "_prepare_teleporter", counting)
     cfg = str(SCENARIOS / "experiment-conditional.cfg")
-    expected = {("run",): 1, ("ladder",): 4, ("rates",): 3, ("budget", "--link", "teleport"): 10}
+    expected = {("run",): 1, ("ladder",): 4, ("rates",): 3, ("budget", "--link", "teleport"): 7}
     for argv, count in expected.items():
         calls.clear()
         assert cli.main([argv[0], cfg, *argv[1:], "--out", str(tmp_path)]) == 0
         assert len(calls) == count, argv
+    capsys.readouterr()
+
+
+def test_run_sends_the_inputs_through_once_per_output(tmp_path, capsys, monkeypatch):
+    # One run makes one Charlie-side Bell contraction per output that needs
+    # one (fidelities, bsm_breakdown and no_feedforward take the six inputs
+    # as one stack, rates one input) and applies no Kraus channel to a
+    # labeled state.
+    shapes = []
+    bell = protocol._bell_outcomes
+
+    def counting(left, right):
+        shapes.append(right.shape)
+        return bell(left, right)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("apply_channel called")
+
+    monkeypatch.setattr(protocol, "_bell_outcomes", counting)
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("teleportsim") and hasattr(module, "apply_channel"):
+            monkeypatch.setattr(module, "apply_channel", refuse)
+    cfg = str(SCENARIOS / "experiment-conditional.cfg")
+    assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 0
+    charlie = [shape[0] for shape in shapes if shape[-1] == 2]  # input qubits on the right
+    assert sorted(charlie) == [1, 6, 6, 6]
     capsys.readouterr()

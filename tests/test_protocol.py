@@ -2,7 +2,7 @@ import gc
 import math
 import tracemalloc
 import weakref
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -248,6 +248,52 @@ def test_bad_config_rejected():
         pt.make_config(noiseless=True, frame_bob="diagonal")
 
 
+@pytest.mark.filterwarnings("error")
+def test_bad_input_vectors_rejected(noiseless):
+    # Vectors that are no qubit state fail with an error naming the input,
+    # not with a numpy warning and a misleading check further on; finite
+    # vectors run whatever their scale.
+    for vec in ([0, 0], [np.nan, 1], [1, np.inf], [-np.inf, 1j], [1, 0, 0], []):
+        with pytest.raises(pt.ProtocolError, match="input vector"):
+            pt.run_teleportation_analytic(noiseless, vec)
+    for vec in ([1e308, 1e308j], [1e-320, 0], [3, 4j]):
+        assert pt.run_teleportation_analytic(noiseless, vec).fidelity >= 1 - 1e-9
+
+
+def _same_teleporter(a, b) -> bool:
+    return all(
+        np.array_equal(getattr(x, f.name), getattr(y, f.name))
+        for x, y in ((a, b), (a.averages, b.averages))
+        for f in fields(x)
+        if f.name != "averages"
+    )
+
+
+def test_teleporter_fields():
+    # A field outside ``TELEPORTER_FIELDS`` leaves the prepared teleporter
+    # bit-identical, so ``replace_config`` may share it; one inside it
+    # prepares a new one.
+    cfg = pt.make_config("conditional", timeout=300)
+    outside = {
+        "charlie_bsm": replace(cfg.charlie_bsm, comm_fidelities=(0.9, 0.8), policy="all"),
+        "ionization_alice": 0.2,
+        "prep_init_error": 0.05,
+        "prep_pulse_error": 0.07,
+        "ab_cap": 17,
+        "phase_a_rad": 0.7,
+        "phase_b_rad": 0.3,
+        "alice_readout": (0.8, 0.7),
+    }
+    assert {f.name for f in fields(pt.ProtocolConfig)} - pt.TELEPORTER_FIELDS == outside.keys()
+    for name, value in outside.items():
+        fresh = replace(cfg, **{name: value}).teleporter
+        assert fresh is not cfg.teleporter and _same_teleporter(fresh, cfg.teleporter), name
+        assert pt.replace_config(cfg, **{name: value}).teleporter is cfg.teleporter
+    changed = pt.replace_config(cfg, ionization_alice=0.2, timeout=301)
+    assert changed.teleporter is not cfg.teleporter
+    assert not _same_teleporter(changed.teleporter, cfg.teleporter)
+
+
 def test_config_collectable_after_analytic_run():
     cfg = pt.make_config("conditional", timeout=200)
     pt.run_teleportation_analytic(cfg, "+x")
@@ -291,31 +337,34 @@ ORACLE_GRID = [
 
 @pytest.mark.parametrize("mode,bar,timeout", ORACLE_GRID)
 def test_analytic_matches_state_oracle(mode, bar, timeout):
-    # Every result field, under the config's own policy and under "all", and
-    # Alice's state for every assigned outcome with and without her
-    # correction, against the branch-by-branch reference, to 1e-12.
+    # Every result field, under the config's own policy and under "all", one
+    # input at a time and as the stacked six-state batch, and Alice's state
+    # for every assigned outcome with and without her correction, against
+    # the branch-by-branch reference, to 1e-12.
     cfg = pt.make_config(mode, bar_on=bar, timeout=timeout)
     ref = StateOracle(cfg)
     everything = replace(cfg, charlie_bsm=replace(cfg.charlie_bsm, policy="all"))
     close = dict(rel=1e-12, abs=1e-12)
-    for which in hb.CARDINAL_STATES:
+    batches = {policy: pt.six_state_results(c) for c, policy in ((cfg, None), (everything, "all"))}
+    inputs, _targets = pt._cardinal_inputs(cfg)
+    stacks = {correct: pt._alice_states(cfg, inputs, correct=correct) for correct in (True, False)}
+    for n, which in enumerate(hb.CARDINAL_STATES):
         for c, policy in ((cfg, None), (everything, "all")):
-            res = pt.run_teleportation_analytic(c, which)
             want = ref.result(which, policy)
-            assert np.allclose(res.rho.matrix, want["rho"], rtol=0.0, atol=1e-12)
-            for name in (
-                "fidelity", "accept_probability", "teleporter_fidelity", "swap_fidelity",
-                "bob_accept_weight", "mean_attempts_bc",
-            ):
-                assert getattr(res, name) == pytest.approx(want[name], **close), name
-            assert res.per_outcome.keys() == want["per_outcome"].keys()
-            for mc, (w, f) in want["per_outcome"].items():
-                assert res.per_outcome[mc] == pytest.approx((w, f), **close)
-        for correct in (True, False):
-            alice, _target = pt._alice_states(cfg, which, correct=correct)
+            for res in (pt.run_teleportation_analytic(c, which), batches[policy][which]):
+                assert np.allclose(res.rho.matrix, want["rho"], rtol=0.0, atol=1e-12)
+                for name in (
+                    "fidelity", "accept_probability", "teleporter_fidelity", "swap_fidelity",
+                    "bob_accept_weight", "mean_attempts_bc",
+                ):
+                    assert getattr(res, name) == pytest.approx(want[name], **close), name
+                assert res.per_outcome.keys() == want["per_outcome"].keys()
+                for mc, (w, f) in want["per_outcome"].items():
+                    assert res.per_outcome[mc] == pytest.approx((w, f), **close)
+        for correct, alice in stacks.items():
             want = ref.alice_states(which, feed_forward=correct)
             for k, mc in enumerate(pt.BELL_OUTCOMES):
-                assert np.allclose(alice[k], want[mc], rtol=0.0, atol=1e-12)
+                assert np.allclose(alice[n, k], want[mc], rtol=0.0, atol=1e-12)
     table = pt.per_bsm_outcome_fidelity(cfg)
     for mc in pt.BELL_OUTCOMES:
         want = np.mean([ref.result(w, "all")["per_outcome"][mc][1] for w in hb.CARDINAL_STATES])
@@ -392,3 +441,43 @@ def test_long_timeout_bounded_memory():
     assert peak < 5e6
     p = pt.build_heralded(cfg.link_bc).p_success
     assert res.mean_attempts_bc == pytest.approx(1.0 / p, rel=1e-9)
+
+
+unit = st.floats(0.0, 1.0)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    prep=st.tuples(st.floats(0.0, 0.5), unit),
+    ionization=unit,
+    store=st.tuples(unit, unit),
+    timeout=st.integers(1, 3000),
+    mode=st.sampled_from(["conditional", "unconditional"]),
+    bar=st.booleans(),
+)
+def test_stacked_inputs_property(prep, ionization, store, timeout, mode, bar):
+    # Over random noise and timeouts: every per-outcome Alice state of the
+    # stack is Hermitian and positive, each input's four traces add up to
+    # Bob's accepted weight, and the six-state batch equals six single runs.
+    cfg = pt.make_config(
+        mode, bar_on=bar, timeout=timeout, prep_init_error=prep[0], prep_pulse_error=prep[1],
+        ionization_alice=ionization, store_depol_bob=store[0], store_depol_charlie=store[1],
+    )
+    inputs, _targets = pt._cardinal_inputs(cfg)
+    for correct in (True, False):
+        alice = pt._alice_states(cfg, inputs, correct=correct)
+        assert alice.shape == (6, 4, 2, 2)
+        assert np.abs(alice - alice.conj().swapaxes(-1, -2)).max() <= 1e-12
+        assert np.linalg.eigvalsh(alice).min() >= -1e-12
+        traces = np.trace(alice, axis1=-2, axis2=-1).real.sum(axis=1)
+        assert np.allclose(traces, cfg.teleporter.bob_weight, rtol=0.0, atol=1e-12)
+    batch = pt.six_state_results(cfg)
+    assert list(batch) == list(hb.CARDINAL_STATES)
+    for which, res in batch.items():
+        one = pt.run_teleportation_analytic(cfg, which)
+        assert np.allclose(res.rho.matrix, one.rho.matrix, rtol=0.0, atol=1e-13)
+        for name in ("fidelity", "accept_probability"):
+            assert getattr(res, name) == pytest.approx(getattr(one, name), rel=1e-13, abs=1e-13)
+        assert res.per_outcome.keys() == one.per_outcome.keys()
+        for mc, (w, f) in one.per_outcome.items():
+            assert res.per_outcome[mc] == pytest.approx((w, f), rel=1e-13, abs=1e-13)

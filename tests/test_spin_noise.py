@@ -217,6 +217,28 @@ def test_prepare_input_state_average_fidelity():
     assert np.mean(fids) == pytest.approx(0.995, abs=1e-3)
 
 
+def test_prepared_inputs_match_depolarizing_channel():
+    # The closed form against the Kraus sum of ``depolarizing`` applied to
+    # the rotated initialized state, for every cardinal state.
+    names = tuple(hb.CARDINAL_STATES)
+    for p_init, p_mw in ((0.0, 0.0), (0.01, 0.02), (0.3, 0.9), (1.0, 1.0)):
+        stack = sn.prepared_inputs(names, p_init, p_mw)
+        assert stack.shape == (6, 2, 2)
+        for which, rho in zip(names, stack):
+            psi = np.outer(hb.CARDINAL_STATES[which], hb.CARDINAL_STATES[which].conj())
+            want = hb.QuantumState((2,), ("q",), (1 - p_init) * psi + p_init * (np.eye(2) - psi))
+            if which != "+z":
+                want = hb.apply_channel(want, sn.depolarizing(p_mw), ["q"])
+            assert np.allclose(rho, want.matrix, rtol=0.0, atol=1e-15)
+            single = sn.prepare_input_state(which, p_init, p_mw)
+            assert np.array_equal(single.matrix, rho)
+    with pytest.raises(sn.SpinNoiseError):
+        sn.prepared_inputs(("+z", "+w"), 0.0, 0.0)
+    for p_init, p_mw in ((-0.1, 0.0), (0.0, 1.5), (np.nan, 0.0)):
+        with pytest.raises(sn.SpinNoiseError):
+            sn.prepared_inputs(("+x",), p_init, p_mw)
+
+
 def test_prepare_plus_z_init_only():
     # +z needs no microwave pulse: fidelity is 1 - p_init exactly (population
     # transfer coefficient 1, checked against direct matrix evaluation).
