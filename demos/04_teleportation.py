@@ -2,8 +2,7 @@
 
 Runs the full three-node protocol at the calibrated operating point, prints
 the six-state fidelity table with its measurement-outcome breakdown, and
-cross-checks the analytic average against Monte Carlo shots over the
-message-passing state machines.
+cross-checks the analytic average against sampled Monte Carlo shots.
 """
 
 import numpy as np
@@ -32,7 +31,7 @@ print("the communication-qubit 0 outcome reads out better, so those shots win")
 print(f"\nno feed-forward average: {pt.no_feedforward_fidelity(cfg):.4f}"
       " (a fully mixed state, as it must be)")
 
-print("\n== Monte Carlo shots through the node state machines ==")
+print("\n== Monte Carlo shots ==")
 n = 20000
 kept = []
 aborts: dict[str, int] = {}

@@ -10,7 +10,8 @@ Layers, bottom up:
 - :mod:`teleportsim.spin_noise` -- phenomenological memory/communication
   qubit noise channels and the basis-alternating repetitive readout.
 - :mod:`teleportsim.protocol` -- the three-node protocol: link generation,
-  entanglement swapping, teleportation, feed-forward and tomography.
+  entanglement swapping, teleportation and feed-forward, averaged exactly
+  or sampled shot by shot.
 - :mod:`teleportsim.harness` -- scenario runner, error budgets, rate model,
   reports; :mod:`teleportsim.cli` exposes it as a command line tool.
 """

@@ -469,22 +469,6 @@ def window_probabilities(
     return wp
 
 
-def post_pulse_state(params: EmitterParams, em: EmissionProbabilities):
-    """Spin-photon superposition right after the excitation pulse.
-
-    sqrt(alpha)(sqrt(P0)|0> + sqrt(P1)|0,1p> + sqrt(P2)|0,2p>) + sqrt(1-alpha)|1>,
-    photon-number resolved, before any window/branching transformations.
-    """
-    from .photonics import SpinPhotonState, Branch  # local import to avoid a cycle
-
-    amps = np.zeros((2, 3), dtype=complex)
-    amps[1, 0] = np.sqrt(1.0 - params.alpha)
-    amps[0, 0] = np.sqrt(params.alpha * em.p0)
-    amps[0, 1] = np.sqrt(params.alpha * em.p1)
-    amps[0, 2] = np.sqrt(params.alpha * em.p2)
-    return SpinPhotonState(branches=(Branch(amps=amps),))
-
-
 def calibrate_pulse(
     target_p2: float,
     template: PulseShape,

@@ -118,7 +118,7 @@ class Scenario:
     seed: int = 1
     outputs: tuple[str, ...] = ("fidelities",)
     protocol_mode: str = "conditional"
-    window_ns: float = 15.0
+    window_ns: float = defaults.LinkConfig.window_ns
     timeout: int = defaults.TIMEOUT_ATTEMPTS
     bar: bool = True
     improved_memory: bool = True
@@ -293,11 +293,18 @@ def estimate_rate(model: RateModel) -> float:
     return 1.0 / t_event
 
 
-def rate_model_for(scenario: Scenario) -> RateModel:
+def rate_model_for(
+    scenario: Scenario, plus_z: protocol.AnalyticResult | None = None
+) -> RateModel:
+    """The event-rate model of a scenario.
+
+    ``plus_z`` is the scenario's analytic result for the "+z" input when the
+    caller already has it; otherwise it is computed here.
+    """
     cfg = scenario.config
     hl_ab = photonics.build_heralded(cfg.link_ab)
     hl_bc = photonics.build_heralded(cfg.link_bc)
-    res = protocol.run_teleportation_analytic(cfg, "+z")
+    res = plus_z if plus_z is not None else protocol.run_teleportation_analytic(cfg, "+z")
     # Split the analytic acceptance into the per-stage policy weights.
     total_weight = sum(w for w, _f in res.per_outcome.values())
     bob_policy = res.bob_accept_weight
@@ -325,9 +332,7 @@ class ScenarioReport:
     files: list = field(default_factory=list)
 
 
-def _analytic_results(scenario: Scenario) -> dict:
-    cfg = scenario.config
-    per_state = protocol.six_state_results(cfg)
+def _analytic_results(per_state: dict[str, protocol.AnalyticResult]) -> dict:
     res = per_state["+z"]
     return {
         "fidelities": {k: float(r.fidelity) for k, r in per_state.items()},
@@ -344,12 +349,10 @@ def _monte_carlo_results(scenario: Scenario) -> dict:
     states = list(CARDINAL_STATES)
     sums: dict[str, list[float]] = {s: [] for s in states}
     aborts: dict[str, int] = {}
-    duration = 0.0
     for shot in range(scenario.shots):
         which = states[shot % len(states)]
         rng = shot_rng(scenario.seed, scenario.name, shot)
         out = protocol.run_teleportation_shot(cfg, which, rng)
-        duration += out.duration_s
         if out.aborted:
             aborts[out.aborted] = aborts.get(out.aborted, 0) + 1
         else:
@@ -373,7 +376,7 @@ def _monte_carlo_results(scenario: Scenario) -> dict:
     }
 
 
-def link_budget_table(which: str, window_ns: float = 15.0) -> dict:
+def link_budget_table(which: str, window_ns: float | None = None) -> dict:
     cfg = {"AB": defaults.LINK_AB, "BC": defaults.LINK_BC}.get(which)
     if cfg is None:
         raise HarnessError(f"unknown link {which!r} (expected AB or BC)")
@@ -437,7 +440,7 @@ def improvement_ladder(scenario: Scenario) -> list[dict]:
     return rows
 
 
-def correlation_tables(which: str = "AB", window_ns: float = 15.0) -> dict:
+def correlation_tables(which: str = "AB", window_ns: float | None = None) -> dict:
     """Measurement correlations of a heralded link, overall and flag-conditioned."""
     cfg = {"AB": defaults.LINK_AB, "BC": defaults.LINK_BC}[which]
     link = defaults.build_link(cfg, window_ns=window_ns)
@@ -508,8 +511,11 @@ def run_scenario(
     out.mkdir(parents=True, exist_ok=True)
     report = ScenarioReport(scenario=scenario)
 
+    plus_z = None
     if scenario.mode == "analytic":
-        report.results.update(_analytic_results(scenario))
+        per_state = protocol.six_state_results(scenario.config)
+        plus_z = per_state["+z"]
+        report.results.update(_analytic_results(per_state))
     else:
         report.results.update(_monte_carlo_results(scenario))
 
@@ -529,7 +535,7 @@ def run_scenario(
     if "correlations" in scenario.outputs:
         report.results["correlations"] = correlation_tables("AB", scenario.window_ns)
     if "rates" in scenario.outputs:
-        report.results["rate_hz"] = float(estimate_rate(rate_model_for(scenario)))
+        report.results["rate_hz"] = float(estimate_rate(rate_model_for(scenario, plus_z)))
     if "bar_curves" in scenario.outputs:
         report.results["bar_curves"] = bar_curve_tables()
     if "memory_curves" in scenario.outputs:

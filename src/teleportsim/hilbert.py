@@ -9,7 +9,7 @@ so no sparsity or tensor-network machinery is used.
 
 from __future__ import annotations
 
-from dataclasses import InitVar, dataclass, field
+from dataclasses import InitVar, dataclass
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -24,7 +24,9 @@ PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 PAULI_Y = np.array([[0, -1j], [1j, 0]], dtype=complex)
 PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 PAULIS = (ID2, PAULI_X, PAULI_Y, PAULI_Z)
+#: Basis changes taking |+> and |+i> to |0>, for x and y measurements.
 HADAMARD = np.array([[1, 1], [1, -1]], dtype=complex) / np.sqrt(2)
+HADAMARD_Y = np.array([[1, -1j], [1, 1j]], dtype=complex) / np.sqrt(2)
 
 KET0 = np.array([1, 0], dtype=complex)
 KET1 = np.array([0, 1], dtype=complex)
@@ -155,13 +157,11 @@ class Channel:
 
     ``dims`` are the dimensions of the target subsystems the channel acts on,
     in target order.  Completeness (sum K^dag K = 1) is checked at
-    construction unless ``unchecked`` is set (used for weight-carrying
-    conditional maps).
+    construction.
     """
 
     kraus: tuple[np.ndarray, ...]
     dims: tuple[int, ...] = (2,)
-    unchecked: bool = field(default=False, repr=False)
 
     def __post_init__(self) -> None:
         ops = tuple(_as_matrix(k) for k in self.kraus)
@@ -170,17 +170,13 @@ class Channel:
             if k.shape != (d, d):
                 raise HilbertError(f"Kraus shape {k.shape} does not match dims {self.dims}")
         object.__setattr__(self, "kraus", ops)
-        if not self.unchecked and not self.is_cptp():
+        if not self.is_cptp():
             raise HilbertError("Kraus operators do not satisfy completeness")
 
     def is_cptp(self, tol: float = HERM_TOL) -> bool:
         d = int(np.prod(self.dims))
         acc = sum(k.conj().T @ k for k in self.kraus)
         return bool(np.allclose(acc, np.eye(d), atol=max(tol, 1e-9)))
-
-
-def unitary_channel(u: np.ndarray, dims: tuple[int, ...] = (2,)) -> Channel:
-    return Channel((np.asarray(u, dtype=complex),), dims)
 
 
 def pauli_channel(p_x: float, p_y: float, p_z: float) -> Channel:
@@ -295,37 +291,6 @@ def fidelity(state: QuantumState, target: np.ndarray | QuantumState) -> float:
     return float(min(max(val, 0.0), 1.0))
 
 
-def measure(
-    state: QuantumState,
-    effects: Sequence[np.ndarray],
-    target: str,
-    rng: np.random.Generator,
-) -> tuple[int, QuantumState, float]:
-    """Sample a POVM outcome on one subsystem.
-
-    Returns (outcome index, renormalized conditioned state, outcome
-    probability).  Effects must sum to the identity; the post-measurement
-    state uses the Hermitian square root of the sampled effect as its Kraus
-    operator.
-    """
-    d = state.dims[state.index(target)]
-    effs = [_as_matrix(e) for e in effects]
-    acc = sum(effs)
-    if not np.allclose(acc, np.eye(d), atol=1e-9):
-        raise HilbertError("effects do not sum to the identity")
-    rho = state.normalized() if abs(state.weight - 1.0) > TRACE_TOL else state
-    reduced = partial_trace(rho, [target]).matrix
-    probs = np.asarray([max(float(np.real(np.trace(e @ reduced))), 0.0) for e in effs])
-    probs = probs / probs.sum()
-    outcome = int(rng.choice(len(effs), p=probs))
-    eig, vec = np.linalg.eigh(effs[outcome])
-    root = (vec * np.sqrt(np.clip(eig, 0.0, None))) @ vec.conj().T
-    post = apply_operator(rho, root, [target])
-    tr = float(np.trace(post).real)
-    post_state = QuantumState(state.dims, state.labels, post / tr, 1.0)
-    return outcome, post_state, float(probs[outcome])
-
-
 def bloch_vector(state: QuantumState) -> tuple[float, float, float]:
     """Bloch components (x, y, z) of a single-qubit state."""
     if state.dims != (2,):
@@ -335,17 +300,6 @@ def bloch_vector(state: QuantumState) -> tuple[float, float, float]:
     y = float(np.real(np.trace(rho @ PAULI_Y)))
     z = float(np.real(np.trace(rho @ PAULI_Z)))
     return (x, y, z)
-
-
-def asymmetric_readout_effects(f0: float, f1: float) -> list[np.ndarray]:
-    """Two-outcome qubit readout with different assignment fidelities per state.
-
-    Outcome 0 is assigned with probability f0 when the qubit is |0> and with
-    probability (1 - f1) when it is |1>.
-    """
-    e0 = np.array([[f0, 0], [0, 1 - f1]], dtype=complex)
-    e1 = np.array([[1 - f0, 0], [0, f1]], dtype=complex)
-    return [e0, e1]
 
 
 def rotation_z(theta: float) -> np.ndarray:

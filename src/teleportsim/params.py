@@ -212,7 +212,7 @@ DECOUPLING_FITS = {
 }
 
 # Readout and gate noise used in the teleportation model.
-COMM_READOUT = {"bob": (0.93, 0.995), "charlie": (0.92, 0.99), "alice": (0.93, 0.995)}
+COMM_READOUT = {"bob": (0.93, 0.995), "charlie": (0.92, 0.99)}
 MEMORY_READOUT_EFFECTIVE = {"bob": (0.99, 0.99), "charlie": (0.98, 0.98)}
 MEMORY_STORE_DEPOL = {"bob": 0.12, "charlie": 0.14}
 IONIZATION_ALICE = 0.007

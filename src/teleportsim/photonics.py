@@ -37,7 +37,7 @@ from itertools import product
 import numpy as np
 
 from .emitter import EmissionProbabilities, WindowProbabilities
-from .hilbert import QuantumState
+from .hilbert import HADAMARD, HADAMARD_Y, ID2, QuantumState
 
 EPOCHS = ("dur", "aft")
 
@@ -80,23 +80,6 @@ class Branch:
     def j(self) -> int:
         """Number of detected side-band photons."""
         return len(self.psb_epochs)
-
-    @property
-    def b_lost(self) -> int:
-        return len(self.b_lost_epochs)
-
-    @property
-    def n_lost(self) -> int:
-        return self.z_out + self.z_lost + self.b_out + self.b_lost
-
-    @property
-    def loss_class(self) -> int:
-        """1: nothing lost, 2: one resonant lost, 3: one side-band lost, 4: two lost."""
-        if self.n_lost == 0:
-            return 1
-        if self.n_lost >= 2:
-            return 4
-        return 2 if (self.z_out + self.z_lost) == 1 else 3
 
 
 @dataclass(frozen=True)
@@ -428,7 +411,9 @@ class HeraldedLink:
     def p_success(self) -> float:
         return self.p_plus + self.p_minus
 
-    def target_vector(self, sign: int) -> np.ndarray:
+    @staticmethod
+    def target_vector(sign: int) -> np.ndarray:
+        """(|01> + sign |10>) / sqrt(2), the state a herald of that sign announces."""
         v = np.zeros(4, dtype=complex)
         v[1] = 1.0 / math.sqrt(2.0)
         v[2] = sign / math.sqrt(2.0)
@@ -595,11 +580,14 @@ def combined_infidelity(link: LinkParams) -> float:
     return 1.0 - build_heralded(link).fidelity_avg()
 
 
-_BASIS_ROT = {
-    "z": np.eye(2, dtype=complex),
-    "x": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
-    "y": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2.0),
-}
+_BASIS_ROT = {"z": ID2, "x": HADAMARD, "y": HADAMARD_Y}
+
+
+def _basis_probabilities(rho: np.ndarray, basis: str) -> dict[str, float]:
+    """Joint two-spin outcome probabilities in one basis, keyed (node1 bit, node2 bit)."""
+    uu = np.kron(_BASIS_ROT[basis], _BASIS_ROT[basis])
+    probs = np.real(np.diag(uu @ rho @ uu.conj().T))
+    return {f"{i >> 1}{i & 1}": float(probs[i]) for i in range(4)}
 
 
 def psb_conditioned_correlations(
@@ -613,20 +601,12 @@ def psb_conditioned_correlations(
     key = (node, epoch)
     if key not in hl.flag_states:
         raise PhotonicsError(f"no flagged events recorded for {key}")
-    rho = hl.flag_states[key].matrix
-    u = _BASIS_ROT[basis]
-    uu = np.kron(u, u)
-    probs = np.real(np.diag(uu @ rho @ uu.conj().T))
-    return {f"{i >> 1}{i & 1}": float(probs[i]) for i in range(4)}
+    return _basis_probabilities(hl.flag_states[key].matrix, basis)
 
 
 def herald_correlations(hl: HeraldedLink, basis: str = "z", sign: int = +1) -> dict[str, float]:
     """Joint outcome distribution of the heralded state, no flag conditioning."""
-    rho = (hl.rho_plus if sign > 0 else hl.rho_minus).matrix
-    u = _BASIS_ROT[basis]
-    uu = np.kron(u, u)
-    probs = np.real(np.diag(uu @ rho @ uu.conj().T))
-    return {f"{i >> 1}{i & 1}": float(probs[i]) for i in range(4)}
+    return _basis_probabilities((hl.rho_plus if sign > 0 else hl.rho_minus).matrix, basis)
 
 
 @dataclass(frozen=True)

@@ -15,17 +15,15 @@ stack, so the six cardinal states take one contraction.  Each Bell
 measurement is one contraction giving all four outcomes for every input,
 readout errors one 4x4 confusion matrix, the feed-forward corrections
 constant tables per storage frame, and the acceptance policy a mask.  The
-Monte Carlo mode runs the full sequence shot by shot as three node state
-machines exchanging classical messages over an in-process bus.
+Monte Carlo mode runs the full sequence shot by shot on one labeled state,
+sampling each herald, Bell outcome and readout error.
 """
 
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Iterable
 
 import numpy as np
 
@@ -33,7 +31,10 @@ from . import params as defaults
 from .hilbert import (
     CARDINAL_STATES,
     EIG_TOL,
+    HADAMARD,
+    HADAMARD_Y,
     HERM_TOL,
+    ID2,
     PAULI_X,
     PAULI_Z,
     PAULIS,
@@ -43,7 +44,6 @@ from .hilbert import (
     apply_unitary,
     fidelity,
     partial_trace,
-    rotation_z,
     state_from_vector,
     tensor,
 )
@@ -80,18 +80,7 @@ BELL_VECTORS = {mc: b.ravel() for mc, b in zip(BELL_OUTCOMES, _BELL_MATRICES)}
 # the nuclear spin in a rotated basis (the conditional nuclear gates are
 # transverse-axis controlled), so physical memory dephasing acts along a
 # logical axis set by this frame.
-STORAGE_FRAMES = {
-    "computational": np.eye(2, dtype=complex),
-    "hadamard": np.array([[1, 1], [1, -1]], dtype=complex) / math.sqrt(2.0),
-    "y-conjugate": np.array([[1, -1j], [1, 1j]], dtype=complex) / math.sqrt(2.0),
-}
-
-
-def _psi_sign_vector(sign: int) -> np.ndarray:
-    v = np.zeros(4, dtype=complex)
-    v[1] = 1.0 / math.sqrt(2.0)
-    v[2] = sign / math.sqrt(2.0)
-    return v
+STORAGE_FRAMES = {"computational": ID2, "hadamard": HADAMARD, "y-conjugate": HADAMARD_Y}
 
 
 def _undo(w: np.ndarray, what: str) -> np.ndarray:
@@ -112,8 +101,8 @@ def swap_correction(
     storage frame.
     """
     rb = np.eye(2, dtype=complex) if frame_bob is None else frame_bob
-    psi1 = (np.kron(np.eye(2), rb) @ _psi_sign_vector(sign_ab)).reshape(2, 2)
-    psi2 = _psi_sign_vector(sign_bc).reshape(2, 2)
+    psi1 = (np.kron(np.eye(2), rb) @ HeraldedLink.target_vector(sign_ab)).reshape(2, 2)
+    psi2 = HeraldedLink.target_vector(sign_bc).reshape(2, 2)
     bell = BELL_VECTORS[(m, c)].reshape(2, 2)
     # <B|_{M,CB} (psi1_{A,M} psi2_{CB,CC}) : chi[a, cc] = sum psi1[a,m] B*[m,k] psi2[k,cc],
     # the state (1 (x) chi^T)|Phi+> up to scale.
@@ -155,20 +144,6 @@ _SWAP_FIX = {
     ]))
     for name, r in STORAGE_FRAMES.items()
 }
-
-
-def phase_correction(n: int, phi_a: float) -> np.ndarray:
-    """Z rotation undoing the phase picked up over n entanglement attempts."""
-    if n < 0:
-        raise ProtocolError("attempt count must be nonnegative")
-    return rotation_z(-n * phi_a)
-
-
-def rephase_correction(q: int, phi_b: float) -> np.ndarray:
-    """Z rotation undoing the phase imprinted during the rephasing wait."""
-    if q < 0:
-        raise ProtocolError("attempt count must be nonnegative")
-    return rotation_z(-q * phi_b)
 
 
 def _assignment(fidelities: tuple[float, float]) -> np.ndarray:
@@ -232,11 +207,8 @@ class ProtocolConfig:
     prep_pulse_error: float = defaults.PREP_PULSE_ERROR
     timeout: int = defaults.TIMEOUT_ATTEMPTS
     ab_cap: int = 10**6
-    phase_a_rad: float = 0.1
-    phase_b_rad: float = 0.05
     attempt_period_s: float = defaults.ATTEMPT_PERIOD_S
     alice_total_overhead_s: float = defaults.FIXED_OVERHEAD_ALICE_S
-    alice_readout: tuple[float, float] = defaults.COMM_READOUT["alice"]
     frame_bob: str = "computational"
     frame_charlie: str = "hadamard"
 
@@ -265,8 +237,8 @@ class ProtocolConfig:
 
 
 #: The ``ProtocolConfig`` fields the prepared teleporter reads.  Charlie's
-#: measurement, Alice's ionization and readout, input preparation, the
-#: first link's attempt cap and the compensated phases act later.
+#: measurement, Alice's ionization, input preparation and the first link's
+#: attempt cap act later.
 TELEPORTER_FIELDS = frozenset({
     "link_ab", "link_bc", "bob_bsm", "memory_fit", "alice_eigen_fit", "alice_super_fit",
     "store_depol_bob", "store_depol_charlie", "timeout", "attempt_period_s",
@@ -411,74 +383,6 @@ class TeleportOutcome:
     attempts_bc: int | None = None
     aborted: str | None = None
     duration_s: float = 0.0
-    tomography_bit: int | None = None
-
-
-@dataclass(frozen=True)
-class ClassicalMessage:
-    sender: str
-    receiver: str
-    payload: dict
-
-
-class MessageBus:
-    """In-process ordered classical channels, one FIFO per directed pair."""
-
-    def __init__(self) -> None:
-        self._queues: dict[tuple[str, str], deque] = {}
-        self.log: list[ClassicalMessage] = []
-
-    def send(self, sender: str, receiver: str, **payload) -> None:
-        msg = ClassicalMessage(sender, receiver, payload)
-        self._queues.setdefault((sender, receiver), deque()).append(msg)
-        self.log.append(msg)
-
-    def receive(self, sender: str, receiver: str) -> dict:
-        q = self._queues.get((sender, receiver))
-        if not q:
-            raise ProtocolError(f"no pending message {sender} -> {receiver}")
-        return q.popleft().payload
-
-
-class Register:
-    """Mutable joint state confined to one protocol shot."""
-
-    def __init__(self) -> None:
-        self.state: QuantumState | None = None
-
-    def add(self, state: QuantumState) -> None:
-        self.state = state if self.state is None else tensor(self.state, state)
-
-    def unitary(self, u: np.ndarray, labels: Iterable[str]) -> None:
-        self.state = apply_unitary(self.state, u, list(labels))
-
-    def channel(self, ch, labels: Iterable[str]) -> None:
-        self.state = apply_channel(self.state, ch, list(labels))
-
-    def relabel(self, mapping: dict[str, str]) -> None:
-        self.state = self.state.relabeled(mapping)
-
-    def bell_measure(self, labels: tuple[str, str], rng: np.random.Generator) -> tuple[int, int]:
-        """Projective Bell measurement; collapses and discards the pair."""
-        pair = partial_trace(self.state, list(labels))
-        probs = np.array(
-            [
-                max(float(np.real(BELL_VECTORS[mc].conj() @ pair.matrix @ BELL_VECTORS[mc])), 0.0)
-                for mc in BELL_OUTCOMES
-            ]
-        )
-        probs = probs / probs.sum()
-        k = int(rng.choice(4, p=probs))
-        mc = BELL_OUTCOMES[k]
-        proj = np.outer(BELL_VECTORS[mc], BELL_VECTORS[mc].conj())
-        mat = apply_operator(self.state, proj, list(labels))
-        post = QuantumState(self.state.dims, self.state.labels, mat, float(np.trace(mat).real))
-        keep = [l for l in self.state.labels if l not in labels]
-        self.state = partial_trace(post, keep).normalized()
-        return mc
-
-    def density(self, labels: Iterable[str]) -> QuantumState:
-        return partial_trace(self.state, list(labels))
 
 
 def _sample_geometric(p: float, rng: np.random.Generator) -> int:
@@ -527,8 +431,9 @@ def _bell_outcomes(left: np.ndarray, right: np.ndarray) -> np.ndarray:
 
 def _on_second(kraus, rho: np.ndarray) -> np.ndarray:
     """Kraus map on the second qubit of (a stack of) two-qubit density matrices."""
-    ops = [np.kron(np.eye(2), k) for k in kraus]
-    return sum(k @ rho @ k.conj().T for k in ops)
+    k = np.asarray(kraus)
+    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    return np.einsum("kbj,...ajcl,kdl->...abcd", k, t, k.conj()).reshape(rho.shape)
 
 
 def entanglement_swap(
@@ -748,7 +653,7 @@ def _input_vector(which) -> np.ndarray:
 
 
 def _input_state(cfg: ProtocolConfig, which) -> tuple[QuantumState, np.ndarray]:
-    """Input state and the pure tomography target, for the shot-by-shot path."""
+    """Input state and its pure target, for the shot-by-shot path."""
     if isinstance(which, str):
         psi = prepare_input_state(
             which, cfg.prep_init_error, cfg.prep_pulse_error, label="input"
@@ -912,18 +817,39 @@ def no_feedforward_fidelity(cfg: ProtocolConfig) -> float:
     return float(np.mean(_overlaps(alice.sum(axis=1) / weight[:, None, None], targets)))
 
 
+def _bell_measure(
+    state: QuantumState, labels: tuple[str, str], rng: np.random.Generator
+) -> tuple[tuple[int, int], QuantumState]:
+    """Projective Bell measurement of the ``labels`` pair.
+
+    Returns the sampled outcome and the normalized state of the remaining
+    subsystems.
+    """
+    pair = partial_trace(state, list(labels))
+    probs = np.array(
+        [
+            max(float(np.real(BELL_VECTORS[mc].conj() @ pair.matrix @ BELL_VECTORS[mc])), 0.0)
+            for mc in BELL_OUTCOMES
+        ]
+    )
+    probs = probs / probs.sum()
+    mc = BELL_OUTCOMES[int(rng.choice(4, p=probs))]
+    proj = np.outer(BELL_VECTORS[mc], BELL_VECTORS[mc].conj())
+    mat = apply_operator(state, proj, list(labels))
+    post = QuantumState(state.dims, state.labels, mat, float(np.trace(mat).real))
+    keep = [l for l in state.labels if l not in labels]
+    return mc, partial_trace(post, keep).normalized()
+
+
 def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator) -> TeleportOutcome:
-    """One sampled protocol shot as three nodes exchanging classical messages.
+    """One sampled protocol shot, stage by stage in the experiment's order.
 
     Charlie's acceptance behavior follows the configured measurement policy:
     an "all" policy (deterministic measurement) never aborts there.
     """
     hl_ab = build_heralded(cfg.link_ab)
     hl_bc = build_heralded(cfg.link_bc)
-    bus = MessageBus()
-    reg = Register()
 
-    # Alice-Bob link and storage at Bob.
     s1, rho_ab, n_ab = generate_link(hl_ab, cfg.ab_cap, rng)
     if s1 is None:
         return TeleportOutcome(rho=None, aborted="ab_cap", attempts_ab=n_ab)
@@ -936,30 +862,19 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
             rho=None, aborted="bc_timeout", attempts_ab=n_ab, attempts_bc=q,
             duration_s=duration,
         )
-    bus.send("station_ab", "alice", herald="ab", sign=s1)
-    bus.send("station_ab", "bob", herald="ab", sign=s1)
-    reg.add(rho_ab.relabeled({"q1": "alice", "q2": "comm_b"}))
-    reg.relabel({"comm_b": "mem_b"})
-    reg.unitary(cfg.r_bob, ["mem_b"])
-    reg.channel(depolarizing(cfg.store_depol_bob), ["mem_b"])
-    bus.receive("station_ab", "bob")
 
-    lam = cfg.memory_fit.decay_factor(q)
-    reg.channel(dephasing_from_factor(lam), ["mem_b"])
-    # Deterministic phase pickup and its real-time compensation cancel.
-    reg.unitary(rotation_z(q * cfg.phase_a_rad), ["mem_b"])
-    reg.unitary(phase_correction(q, cfg.phase_a_rad), ["mem_b"])
-    reg.unitary(rotation_z(q * cfg.phase_b_rad), ["mem_b"])
-    reg.unitary(rephase_correction(q, cfg.phase_b_rad), ["mem_b"])
-    bus.send("station_bc", "bob", herald="bc", sign=s2)
-    bus.send("station_bc", "charlie", herald="bc", sign=s2)
-    reg.add(rho_bc.relabeled({"q1": "comm_b", "q2": "comm_c"}))
-    bus.receive("station_bc", "bob")
+    # Bob stores his half, which dephases over the q attempts of the second
+    # link; the phase it picks up meanwhile is compensated exactly in real time.
+    state = rho_ab.relabeled({"q1": "alice", "q2": "mem_b"})
+    state = apply_unitary(state, cfg.r_bob, ["mem_b"])
+    state = apply_channel(state, depolarizing(cfg.store_depol_bob), ["mem_b"])
+    state = apply_channel(state, dephasing_from_factor(cfg.memory_fit.decay_factor(q)), ["mem_b"])
+    state = tensor(state, rho_bc.relabeled({"q1": "comm_b", "q2": "comm_c"}))
 
     # Bob's Bell measurement (entanglement swap).
-    true_mc = reg.bell_measure(("mem_b", "comm_b"), rng)
-    m1 = _flip_bit(true_mc[0], cfg.bob_bsm.memory_fidelities, rng)
-    c1 = _flip_bit(true_mc[1], cfg.bob_bsm.comm_fidelities, rng)
+    true1, state = _bell_measure(state, ("mem_b", "comm_b"), rng)
+    m1 = _flip_bit(true1[0], cfg.bob_bsm.memory_fidelities, rng)
+    c1 = _flip_bit(true1[1], cfg.bob_bsm.comm_fidelities, rng)
     consistent = rng.uniform() < cfg.bob_bsm.accept_fraction
     cr_ok = rng.uniform() < cfg.bob_bsm.cr_pass
     if not (cfg.bob_bsm.accepts(m1, c1) and consistent and cr_ok):
@@ -967,20 +882,16 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
             rho=None, aborted="bob_bsm", signs=(s1, s2), attempts_ab=n_ab,
             attempts_bc=q, bsm_bob=(m1, c1), duration_s=duration,
         )
-    bus.send("bob", "charlie", bsm=(m1, c1), sign_ab=s1)
 
     # Charlie: frame correction and storage.
-    sign_bc = bus.receive("station_bc", "charlie")["sign"]
-    msg = bus.receive("bob", "charlie")
-    reg.unitary(swap_correction(*msg["bsm"], msg["sign_ab"], sign_bc, cfg.r_bob), ["comm_c"])
-    reg.relabel({"comm_c": "mem_c"})
-    reg.unitary(cfg.r_charlie, ["mem_c"])
-    reg.channel(depolarizing(cfg.store_depol_charlie), ["mem_c"])
+    state = apply_unitary(state, swap_correction(m1, c1, s1, s2, cfg.r_bob), ["comm_c"])
+    state = state.relabeled({"comm_c": "mem_c"})
+    state = apply_unitary(state, cfg.r_charlie, ["mem_c"])
+    state = apply_channel(state, depolarizing(cfg.store_depol_charlie), ["mem_c"])
 
     # Input preparation and Charlie's Bell measurement.
     psi_in, target = _input_state(cfg, which)
-    reg.add(psi_in)
-    true2 = reg.bell_measure(("mem_c", "input"), rng)
+    true2, state = _bell_measure(tensor(state, psi_in), ("mem_c", "input"), rng)
     m2 = _flip_bit(true2[0], cfg.charlie_bsm.memory_fidelities, rng)
     c2 = _flip_bit(true2[1], cfg.charlie_bsm.comm_fidelities, rng)
     if cfg.charlie_bsm.policy != "all":
@@ -992,23 +903,13 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
                 attempts_bc=q, bsm_bob=(m1, c1), bsm_charlie=(m2, c2),
                 duration_s=duration,
             )
-    bus.send("charlie", "alice", bsm=(m2, c2))
 
     # Alice: decoupling noise, possible ionization, feed-forward.
-    bus.receive("station_ab", "alice")
     t_alice = 2.0 * q * cfg.attempt_period_s + cfg.alice_total_overhead_s
-    reg.channel(cfg.alice_channel(t_alice), ["alice"])
-    ionized = ionization_event(cfg.ionization_alice, rng)
-    if ionized:
-        reg.state = QuantumState((2,), ("alice",), np.eye(2) / 2.0)
-    msg = bus.receive("charlie", "alice")
-    reg.unitary(teleport_correction(*msg["bsm"], cfg.r_charlie), ["alice"])
-    rho = reg.density(["alice"])
-    # Raw verification readout along the target axis (direction alternated by
-    # the caller across shots; the estimator in ``tomography`` aggregates).
-    p_true = fidelity(rho, target)
-    f0, f1 = cfg.alice_readout
-    bit = int(rng.uniform() >= f0 * p_true + (1 - f1) * (1 - p_true))
+    state = apply_channel(state, cfg.alice_channel(t_alice), ["alice"])
+    if ionization_event(cfg.ionization_alice, rng):
+        state = QuantumState((2,), ("alice",), np.eye(2) / 2.0)
+    rho = apply_unitary(state, teleport_correction(m2, c2, cfg.r_charlie), ["alice"])
     return TeleportOutcome(
         rho=rho,
         fidelity=fidelity(rho, target),
@@ -1018,41 +919,9 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
         attempts_ab=n_ab,
         attempts_bc=q,
         duration_s=duration,
-        tomography_bit=bit,
     )
 
 
 def _flip_bit(true: int, fidelities: tuple[float, float], rng: np.random.Generator) -> int:
     keep = fidelities[0] if true == 0 else fidelities[1]
     return true if rng.uniform() < keep else 1 - true
-
-
-def tomography(
-    rho: QuantumState,
-    which: str,
-    readout: tuple[float, float],
-    rng: np.random.Generator,
-    shots: int = 1,
-) -> float:
-    """Fidelity estimate from readout along both target directions.
-
-    Half the shots measure along the target axis, half along the opposite
-    one; inverting the known assignment fidelities makes the estimator
-    unbiased and the direction average cancels their asymmetry.
-    """
-    target = CARDINAL_STATES[which]
-    f0, f1 = readout
-    slope = f0 + f1 - 1.0
-    if slope <= 0:
-        raise ProtocolError("readout fidelities too low to invert")
-    p_true = fidelity(rho, target)
-    hits = 0.0
-    for i in range(shots):
-        if i % 2 == 0:
-            p0 = f0 * p_true + (1 - f1) * (1 - p_true)
-            hits += rng.uniform() < p0
-        else:
-            p0 = f0 * (1 - p_true) + (1 - f1) * p_true
-            hits += rng.uniform() >= p0
-    m = hits / shots
-    return float((m - (2.0 - f0 - f1) / 2.0) / slope)

@@ -227,17 +227,6 @@ def test_window_tables_match_grid_oracle():
             assert diff <= 1e-12, (pulse, zpl, psb, name, diff)
 
 
-def test_post_pulse_state_components(params, pi_emission):
-    state = em.post_pulse_state(params, pi_emission)
-    amps = state.branches[0].amps
-    assert abs(amps[1, 0]) ** 2 == pytest.approx(1 - params.alpha, abs=1e-12)
-    assert abs(amps[0, 1]) ** 2 == pytest.approx(params.alpha * pi_emission.p1, abs=1e-12)
-    dark = em.post_pulse_state(em.EmitterParams(GAMMA, 0.0), pi_emission)
-    assert abs(dark.branches[0].amps[1, 0]) == pytest.approx(1.0)
-    bright = em.post_pulse_state(em.EmitterParams(GAMMA, 1.0), pi_emission)
-    assert abs(bright.branches[0].amps[1, 0]) == 0.0
-
-
 def test_jump_oracle_matches_master_equation(params, grid):
     # Independent quantum-jump unraveling agrees with the integrated
     # populations within 3 standard errors at 1e5 trajectories, for both a

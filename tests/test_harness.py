@@ -484,8 +484,8 @@ def test_one_teleporter_per_config(tmp_path, capsys, monkeypatch):
 def test_run_sends_the_inputs_through_once_per_output(tmp_path, capsys, monkeypatch):
     # One run makes one Charlie-side Bell contraction per output that needs
     # one (fidelities, bsm_breakdown and no_feedforward take the six inputs
-    # as one stack, rates one input) and applies no Kraus channel to a
-    # labeled state.
+    # as one stack; rates reuses the "+z" row of the fidelities) and applies
+    # no Kraus channel to a labeled state.
     shapes = []
     bell = protocol._bell_outcomes
 
@@ -503,5 +503,5 @@ def test_run_sends_the_inputs_through_once_per_output(tmp_path, capsys, monkeypa
     cfg = str(SCENARIOS / "experiment-conditional.cfg")
     assert cli.main(["run", cfg, "--out", str(tmp_path)]) == 0
     charlie = [shape[0] for shape in shapes if shape[-1] == 2]  # input qubits on the right
-    assert sorted(charlie) == [1, 6, 6, 6]
+    assert sorted(charlie) == [6, 6, 6]
     capsys.readouterr()

@@ -56,7 +56,7 @@ def test_partial_trace_unknown_label():
 
 
 def test_identity_channel_is_noop():
-    ch = hb.unitary_channel(hb.ID2)
+    ch = hb.Channel((hb.ID2,))
     rho = hb.qubit("a", hb.KET_PLUS)
     out = hb.apply_channel(rho, ch, ["a"])
     assert np.allclose(out.matrix, rho.matrix)
@@ -117,38 +117,6 @@ def test_fidelity_unitary_invariance():
         rho0 = hb.QuantumState((2, 2), ("a", "b"), 0.6 * bell.matrix + 0.1 * np.eye(4))
         f0 = hb.fidelity(rho0, psi)
         assert f1 == pytest.approx(f0, abs=1e-9)
-
-
-def test_measure_projective_z():
-    rng = np.random.default_rng(0)
-    proj = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 1.0]).astype(complex)]
-    outcome, post, prob = hb.measure(hb.qubit("a", hb.KET0), proj, "a", rng)
-    assert outcome == 0 and prob == pytest.approx(1.0)
-    assert np.allclose(post.matrix, hb.qubit("a", hb.KET0).matrix)
-
-    counts = [0, 0]
-    for _ in range(2000):
-        o, _, p = hb.measure(hb.qubit("a", hb.KET_PLUS), proj, "a", rng)
-        assert p == pytest.approx(0.5, abs=1e-12)
-        counts[o] += 1
-    assert abs(counts[0] - 1000) < 3 * np.sqrt(2000 * 0.25)
-
-
-def test_measure_asymmetric_readout():
-    rng = np.random.default_rng(1)
-    effects = hb.asymmetric_readout_effects(0.93, 0.995)
-    hits = 0
-    n = 4000
-    for _ in range(n):
-        o, _, _ = hb.measure(hb.qubit("a", hb.KET0), effects, "a", rng)
-        hits += o == 0
-    assert abs(hits / n - 0.93) < 3 * np.sqrt(0.93 * 0.07 / n)
-
-
-def test_measure_requires_povm():
-    rng = np.random.default_rng(0)
-    with pytest.raises(hb.HilbertError):
-        hb.measure(hb.qubit("a", hb.KET0), [np.diag([0.5, 0.5])], "a", rng)
 
 
 def test_bloch_vectors():
