@@ -108,6 +108,26 @@ def _render(value) -> str:
     return str(value)
 
 
+#: Configuration key -> ``Scenario`` field, in the order configs are written.
+_SCENARIO_KEYS = {
+    "scenario.name": "name",
+    "scenario.mode": "mode",
+    "scenario.shots": "shots",
+    "scenario.seed": "seed",
+    "scenario.outputs": "outputs",
+    "protocol.mode": "protocol_mode",
+    "protocol.window_ns": "window_ns",
+    "protocol.timeout": "timeout",
+    "protocol.bar_readout": "bar",
+    "protocol.improved_memory": "improved_memory",
+    "protocol.tailored_heralding": "tailored_heralding",
+    "protocol.noiseless": "noiseless",
+    "rate.attempt_period_s": "attempt_period_s",
+    "rate.cycle_overhead_s": "cycle_overhead_s",
+    "rate.event_overhead_s": "event_overhead_s",
+}
+
+
 @dataclass(frozen=True)
 class Scenario:
     """One runnable scenario: protocol settings plus execution/reporting."""
@@ -156,52 +176,19 @@ class Scenario:
 
     @classmethod
     def from_values(cls, values: dict) -> "Scenario":
-        known = {
-            "scenario.name": "name",
-            "scenario.mode": "mode",
-            "scenario.shots": "shots",
-            "scenario.seed": "seed",
-            "scenario.outputs": "outputs",
-            "protocol.mode": "protocol_mode",
-            "protocol.window_ns": "window_ns",
-            "protocol.timeout": "timeout",
-            "protocol.bar_readout": "bar",
-            "protocol.improved_memory": "improved_memory",
-            "protocol.tailored_heralding": "tailored_heralding",
-            "protocol.noiseless": "noiseless",
-            "rate.attempt_period_s": "attempt_period_s",
-            "rate.cycle_overhead_s": "cycle_overhead_s",
-            "rate.event_overhead_s": "event_overhead_s",
-        }
         kinds = get_type_hints(cls)
         kwargs = {}
         for key, value in values.items():
-            if key not in known:
+            if key not in _SCENARIO_KEYS:
                 raise HarnessError(f"unknown configuration key {key!r}")
-            name = known[key]
+            name = _SCENARIO_KEYS[key]
             kwargs[name] = _typed(key, kinds[name], value)
         if "name" not in kwargs:
             raise HarnessError("scenario.name is required")
         return cls(**kwargs)
 
     def to_values(self) -> dict:
-        return {
-            "scenario.name": self.name,
-            "scenario.mode": self.mode,
-            "scenario.shots": self.shots,
-            "scenario.seed": self.seed,
-            "scenario.outputs": self.outputs,
-            "protocol.mode": self.protocol_mode,
-            "protocol.window_ns": self.window_ns,
-            "protocol.timeout": self.timeout,
-            "protocol.bar_readout": self.bar,
-            "protocol.improved_memory": self.improved_memory,
-            "protocol.tailored_heralding": self.tailored_heralding,
-            "protocol.noiseless": self.noiseless,
-            "rate.attempt_period_s": self.attempt_period_s,
-            "rate.cycle_overhead_s": self.cycle_overhead_s,
-            "rate.event_overhead_s": self.event_overhead_s,
-        }
+        return {key: getattr(self, name) for key, name in _SCENARIO_KEYS.items()}
 
     @cached_property
     def config(self) -> protocol.ProtocolConfig:
@@ -376,11 +363,16 @@ def _monte_carlo_results(scenario: Scenario) -> dict:
     }
 
 
-def link_budget_table(which: str, window_ns: float | None = None) -> dict:
+def _default_link(which: str, window_ns: float | None) -> photonics.LinkParams:
+    """The built default link "AB" or "BC" at a detection window."""
     cfg = {"AB": defaults.LINK_AB, "BC": defaults.LINK_BC}.get(which)
     if cfg is None:
         raise HarnessError(f"unknown link {which!r} (expected AB or BC)")
-    link = defaults.build_link(cfg, window_ns=window_ns)
+    return defaults.build_link(cfg, window_ns=window_ns)
+
+
+def link_budget_table(which: str, window_ns: float | None = None) -> dict:
+    link = _default_link(which, window_ns)
     rows = {src: float(photonics.single_error_budget(link, src)) for src in photonics.BUDGET_SOURCES}
     rows["combined"] = float(photonics.combined_infidelity(link))
     return rows
@@ -442,8 +434,7 @@ def improvement_ladder(scenario: Scenario) -> list[dict]:
 
 def correlation_tables(which: str = "AB", window_ns: float | None = None) -> dict:
     """Measurement correlations of a heralded link, overall and flag-conditioned."""
-    cfg = {"AB": defaults.LINK_AB, "BC": defaults.LINK_BC}[which]
-    link = defaults.build_link(cfg, window_ns=window_ns)
+    link = _default_link(which, window_ns)
     hl = photonics.build_heralded(replace(link, psb_rejection=False))
     out = {}
     for basis in ("z", "x", "y"):

@@ -1,22 +1,20 @@
 """Heralded two-node entanglement through a central beam splitter.
 
-Each node's post-pulse spin-photon state is expanded into a list of pure
-branches labeled by what happened to every emitted photon: resonant photons
-either reach the central station inside the detection window (a coherent mode
-kept in the state) or are lost; side-band photons either fire the local
-side-band detector (a classical click with a during/after-pulse epoch tag) or
-are lost.  Branches with different loss/click records are orthogonal after
-tracing the environment, so the state is an incoherent mixture of small pure
-states.
+Each node's post-pulse spin-photon state is accumulated per record of what
+happened to every emitted photon: resonant photons either reach the central
+station inside the detection window (a coherent mode kept in the state) or
+are lost; side-band photons either fire the local side-band detector (a
+classical click with a during/after-pulse epoch tag) or are lost.  Amplitudes
+with different loss/click records are orthogonal after tracing the
+environment.
 
-The herald decision reads only two things from a pair of branches: the
-photon configuration leaving the beam splitter and each node's set of
-side-band flag epochs.  Every herald output is linear in each node's
-|amps><amps|, so the branches of a node are summed, per flag class
-(``frozenset`` of side-band epochs, at most four), into one spin x photon
-density; one contraction per pair of flag classes then gives the
-conditioned two-spin matrix of every output configuration at once, which
-keeps the interference calculation exact and cheap.
+The herald decision reads only two things from a node: the photon
+configuration it sends to the beam splitter and its set of side-band flag
+epochs.  Every herald output is linear in each node's density, so a node is
+its flag classes (``frozenset`` of side-band epochs, at most four) and one
+spin x photon density per class; one contraction per pair of flag classes
+then gives the conditioned two-spin matrix of every output configuration at
+once, which keeps the interference calculation exact and cheap.
 
 The central station interferes the two kept modes on a balanced beam
 splitter; partial photon distinguishability enters as a two-temporal-mode
@@ -37,71 +35,13 @@ from itertools import product
 import numpy as np
 
 from .emitter import EmissionProbabilities, WindowProbabilities
-from .hilbert import HADAMARD, HADAMARD_Y, ID2, QuantumState
+from .hilbert import HADAMARD, HADAMARD_Y, ID2, QuantumState, fidelity
 
 EPOCHS = ("dur", "aft")
 
 
 class PhotonicsError(ValueError):
     pass
-
-
-@dataclass(frozen=True)
-class Branch:
-    """One pure branch: spin x kept-mode amplitudes plus its environment record.
-
-    Lost side-band photons keep their window-epoch label because the
-    during/after temporal modes are orthogonal; merging them would add
-    amplitudes across orthogonal environments.
-    """
-
-    amps: np.ndarray  # (2, 3): spin (|0>,|1>) x detected-ZPL Fock number
-    psb_epochs: tuple[str, ...] = ()
-    z_out: int = 0  # resonant photons outside the detection window
-    z_lost: int = 0  # resonant photons lost before/at the central station
-    b_out: int = 0  # side-band photons outside the side-band window
-    b_lost_epochs: tuple[str, ...] = ()  # in-window side-band photons not detected
-
-    def __post_init__(self) -> None:
-        a = np.asarray(self.amps, dtype=complex)
-        if a.shape != (2, 3):
-            raise PhotonicsError(f"branch amplitude shape {a.shape}, want (2, 3)")
-        a = a.copy()
-        a.flags.writeable = False
-        object.__setattr__(self, "amps", a)
-        object.__setattr__(self, "psb_epochs", tuple(self.psb_epochs))
-        object.__setattr__(self, "b_lost_epochs", tuple(self.b_lost_epochs))
-
-    @property
-    def weight(self) -> float:
-        return float(np.sum(np.abs(self.amps) ** 2))
-
-    @property
-    def j(self) -> int:
-        """Number of detected side-band photons."""
-        return len(self.psb_epochs)
-
-
-@dataclass(frozen=True)
-class SpinPhotonState:
-    """Weighted pure-branch decomposition of one node's spin-photon state."""
-
-    branches: tuple[Branch, ...]
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "branches", tuple(self.branches))
-        total = sum(b.weight for b in self.branches)
-        if abs(total - 1.0) > 1e-9:
-            raise PhotonicsError(f"branch weights sum to {total}, not 1")
-        for b in self.branches:
-            if b.j >= 1 and np.any(np.abs(b.amps[1, :]) > 0):
-                raise PhotonicsError("side-band-flagged branch has spin-|1> amplitude")
-            if b.j >= 2 and np.any(np.abs(b.amps[:, 1:]) > 0):
-                raise PhotonicsError("double side-band branch has resonant photon amplitude")
-
-    @property
-    def total_weight(self) -> float:
-        return sum(b.weight for b in self.branches)
 
 
 @dataclass(frozen=True)
@@ -143,7 +83,7 @@ class LinkParams:
     @cached_property
     def heralded(self) -> HeraldedLink:
         """The heralded link, computed once per parameter set."""
-        return interfere_and_herald(branch_emission(self.node1), branch_emission(self.node2), self)
+        return interfere_and_herald(self)
 
     @cached_property
     def protocol_only(self) -> LinkParams:
@@ -151,8 +91,20 @@ class LinkParams:
         return _idealized(self, set())
 
 
-def branch_emission(node: NodeOptics) -> SpinPhotonState:
-    """Expand one node's post-pulse state into its orthogonal photon-fate branches."""
+def branch_emission(node: NodeOptics) -> tuple[list[frozenset], np.ndarray]:
+    """One node's post-pulse spin x kept-mode state, summed per side-band flag class.
+
+    Amplitudes are accumulated per environment record (resonant photons
+    outside the window or lost, side-band photons outside the window, lost
+    in-window side-band photons by epoch, and detected side-band epochs),
+    since only amplitudes that share a record add coherently; lost
+    side-band photons keep their epoch because the during/after temporal
+    modes are orthogonal.  The records are then summed per flag class
+    (``frozenset`` of detected side-band epochs).
+
+    Returns the classes and their densities rho[class, s, n, s', n'] over
+    spin (|0>, |1>) and detected resonant-photon number n <= 2.
+    """
     em = node.emission
     wp = node.windows
     a, pz = node.alpha, node.p_zpl
@@ -262,20 +214,30 @@ def branch_emission(node: NodeOptics) -> SpinPhotonState:
                     math.sqrt(p_cls) * za * ba,
                 )
 
-    branches = tuple(
-        Branch(vec, k[4], z_out=k[0], z_lost=k[1], b_out=k[2], b_lost_epochs=k[3])
-        for k, vec in sorted(acc.items())
-    )
-    return SpinPhotonState(branches)
+    groups: dict[frozenset, list[np.ndarray]] = {}
+    total = 0.0
+    for k, amps in sorted(acc.items()):
+        epochs = k[4]
+        total += float(np.sum(np.abs(amps) ** 2))
+        if epochs and np.any(np.abs(amps[1, :]) > 0):
+            raise PhotonicsError("side-band-flagged branch has spin-|1> amplitude")
+        if len(epochs) >= 2 and np.any(np.abs(amps[:, 1:]) > 0):
+            raise PhotonicsError("double side-band branch has resonant photon amplitude")
+        groups.setdefault(frozenset(epochs), []).append(amps)
+    if abs(total - 1.0) > 1e-9:
+        raise PhotonicsError(f"branch weights sum to {total}, not 1")
+    flags = sorted(groups, key=sorted)
+    dens = []
+    for c in flags:
+        amps = np.array(groups[c])
+        dens.append(np.einsum("bsn,btm->sntm", amps, amps.conj()))
+    return flags, np.array(dens)
 
 
 def detection_probability(node: NodeOptics) -> float:
     """P(at least one resonant photon detected at the central station | bright state)."""
-    bright = replace(node, alpha=1.0)
-    state = branch_emission(bright)
-    return float(
-        sum(np.sum(np.abs(b.amps[:, 1:]) ** 2) for b in state.branches)
-    )
+    _, dens = branch_emission(replace(node, alpha=1.0))
+    return float(np.sum(np.einsum("xsnsn->n", dens).real[1:]))
 
 
 def calibrate_eta_zpl(node: NodeOptics, target: float) -> NodeOptics:
@@ -376,23 +338,6 @@ def _interference_kernel(visibility: float, sigma: float) -> tuple[np.ndarray, l
     return kernel, [_pattern(cfg) for cfg in cfgs]
 
 
-def _flag_classes(state: SpinPhotonState) -> tuple[list[frozenset], np.ndarray]:
-    """Sum a node's branches per set of side-band flag epochs.
-
-    Returns the classes and their densities rho[class, s, n, s', n'] =
-    sum over the class's branches of amps[s, n] amps*[s', n'].
-    """
-    groups: dict[frozenset, list[np.ndarray]] = {}
-    for br in state.branches:
-        groups.setdefault(frozenset(br.psb_epochs), []).append(br.amps)
-    classes = sorted(groups, key=sorted)
-    dens = []
-    for c in classes:
-        amps = np.array(groups[c])
-        dens.append(np.einsum("bsn,btm->sntm", amps, amps.conj()))
-    return classes, np.array(dens)
-
-
 @dataclass(frozen=True)
 class HeraldedLink:
     """Per-herald-sign success probabilities and conditioned two-spin states."""
@@ -405,7 +350,6 @@ class HeraldedLink:
     p_double: float  # multi-detector patterns, always discarded
     flag_prob: dict  # (node, epoch) -> P(flag | herald), when rejection is off
     flag_states: dict  # (node, epoch) -> conditioned QuantumState
-    params: LinkParams
 
     @property
     def p_success(self) -> float:
@@ -421,9 +365,7 @@ class HeraldedLink:
 
     def fidelity(self, sign: int = +1) -> float:
         rho = self.rho_plus if sign > 0 else self.rho_minus
-        from .hilbert import fidelity as fid
-
-        return fid(rho, self.target_vector(sign))
+        return fidelity(rho, self.target_vector(sign))
 
     def fidelity_avg(self) -> float:
         """Herald-probability-weighted fidelity over both detector signs.
@@ -437,22 +379,19 @@ class HeraldedLink:
         ) / self.p_success
 
 
-def interfere_and_herald(
-    a: SpinPhotonState, b: SpinPhotonState, link: LinkParams
-) -> HeraldedLink:
-    """Interfere two nodes' kept modes and condition on single-detector clicks.
+def interfere_and_herald(link: LinkParams) -> HeraldedLink:
+    """Interfere the link's two kept modes and condition on single-detector clicks.
 
-    Each node's branches are summed per flag class (its set of side-band
-    flag epochs); one contraction of the two nodes' class densities with the
-    beam-splitter/phase kernel gives the unnormalized two-spin matrix of
-    every output configuration for every pair of flag classes.  Coefficient
-    vectors over the configurations then apply the click patterns and dark
-    counts: a single click heralds its detector's sign (times the chance of
-    no dark count), no click heralds either sign through one dark count, and
-    clicks in both detectors are discarded.  Flagged class pairs are
-    rejected when tailored heralding is on.  Photon numbers above two in
-    total are truncated; their weight, from the nodes' photon-number
-    marginals, must stay below 1e-6.
+    One contraction of the two nodes' flag-class densities (from
+    ``branch_emission``) with the beam-splitter/phase kernel gives the
+    unnormalized two-spin matrix of every output configuration for every
+    pair of flag classes.  Coefficient vectors over the configurations then
+    apply the click patterns and dark counts: a single click heralds its
+    detector's sign (times the chance of no dark count), no click heralds
+    either sign through one dark count, and clicks in both detectors are
+    discarded.  Flagged class pairs are rejected when tailored heralding is
+    on.  Photon numbers above two in total are truncated; their weight, from
+    the nodes' photon-number marginals, must stay below 1e-6.
 
     Returns herald probabilities per detector sign, the conditioned
     (normalized) two-spin states, rejected/discarded weights, and the
@@ -460,8 +399,8 @@ def interfere_and_herald(
     """
     if not np.allclose(link.node1.windows.zpl_window, link.node2.windows.zpl_window):
         raise PhotonicsError("nodes have mismatched detection windows")
-    classes1, dens1 = _flag_classes(a)
-    classes2, dens2 = _flag_classes(b)
+    classes1, dens1 = branch_emission(link.node1)
+    classes2, dens2 = branch_emission(link.node2)
 
     # Truncated weight: both nodes' photon-number marginals, n1 + n2 > 2.
     n_marg1 = np.einsum("xsnsn->n", dens1).real
@@ -530,7 +469,6 @@ def interfere_and_herald(
         p_double=p_double,
         flag_prob=flag_prob,
         flag_states=flag_states,
-        params=link,
     )
 
 
@@ -666,9 +604,8 @@ def estimate_error_probs(counts: FlagCounts, link: LinkParams) -> dict:
     )
     use_heralds = counts.n_attempts is not None
 
-    def observables(variant: LinkParams | None = None, theta=None) -> np.ndarray:
-        ln = link if theta is None else _with_error_probs(link, theta)
-        hl = build_heralded(replace(ln, psb_rejection=False))
+    def observables(theta: np.ndarray) -> np.ndarray:
+        hl = build_heralded(replace(_with_error_probs(link, theta), psb_rejection=False))
         flags = np.array([hl.flag_prob.get(k, 0.0) for k in _FLAG_KEYS])
         if use_heralds:
             return np.append(flags, hl.p_success)
@@ -681,14 +618,14 @@ def estimate_error_probs(counts: FlagCounts, link: LinkParams) -> dict:
         observed = np.append(observed, p_obs)
         var = np.append(var, max(p_obs, 1e-15) / counts.n_attempts)
 
-    base = observables(theta=theta0)
+    base = observables(theta0)
     n_obs = len(observed)
     jac = np.empty((n_obs, 4))
     for j in range(4):
         step = 0.25 * theta0[j] if theta0[j] > 0 else 0.01
         up = theta0.copy()
         up[j] += step
-        jac[:, j] = (observables(theta=up) - base) / step
+        jac[:, j] = (observables(up) - base) / step
     weights = 1.0 / var
     lhs = jac.T @ (weights[:, None] * jac)
     rhs = jac.T @ (weights * (observed - base))

@@ -372,7 +372,7 @@ def make_config(
 
 @dataclass(frozen=True)
 class TeleportOutcome:
-    """Result of one shot (sampled) or of the exact analytic average."""
+    """Result of one sampled shot; the analytic path returns ``AnalyticResult``."""
 
     rho: QuantumState | None
     fidelity: float | None = None
@@ -382,7 +382,6 @@ class TeleportOutcome:
     attempts_ab: int | None = None
     attempts_bc: int | None = None
     aborted: str | None = None
-    duration_s: float = 0.0
 
 
 def _sample_geometric(p: float, rng: np.random.Generator) -> int:
@@ -856,12 +855,8 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
     # The attempt count of the second link is independent of the stored
     # state, so a timeout can abort before any state algebra runs.
     s2, rho_bc, q = generate_link(hl_bc, cfg.timeout, rng)
-    duration = (n_ab + 2 * q) * cfg.attempt_period_s
     if s2 is None:
-        return TeleportOutcome(
-            rho=None, aborted="bc_timeout", attempts_ab=n_ab, attempts_bc=q,
-            duration_s=duration,
-        )
+        return TeleportOutcome(rho=None, aborted="bc_timeout", attempts_ab=n_ab, attempts_bc=q)
 
     # Bob stores his half, which dephases over the q attempts of the second
     # link; the phase it picks up meanwhile is compensated exactly in real time.
@@ -880,7 +875,7 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
     if not (cfg.bob_bsm.accepts(m1, c1) and consistent and cr_ok):
         return TeleportOutcome(
             rho=None, aborted="bob_bsm", signs=(s1, s2), attempts_ab=n_ab,
-            attempts_bc=q, bsm_bob=(m1, c1), duration_s=duration,
+            attempts_bc=q, bsm_bob=(m1, c1),
         )
 
     # Charlie: frame correction and storage.
@@ -901,7 +896,6 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
             return TeleportOutcome(
                 rho=None, aborted="charlie_bsm", signs=(s1, s2), attempts_ab=n_ab,
                 attempts_bc=q, bsm_bob=(m1, c1), bsm_charlie=(m2, c2),
-                duration_s=duration,
             )
 
     # Alice: decoupling noise, possible ionization, feed-forward.
@@ -918,7 +912,6 @@ def run_teleportation_shot(cfg: ProtocolConfig, which, rng: np.random.Generator)
         signs=(s1, s2),
         attempts_ab=n_ab,
         attempts_bc=q,
-        duration_s=duration,
     )
 
 

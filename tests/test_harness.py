@@ -232,6 +232,12 @@ def test_correlation_tables():
     assert aft["00"] == max(aft.values())
 
 
+def test_correlation_tables_unknown_link():
+    # The same one-line harness error as the link budget, not a bare KeyError.
+    with pytest.raises(harness.HarnessError, match="unknown link 'XY'"):
+        harness.correlation_tables("XY")
+
+
 def test_cli_run_and_budget(tmp_path, capsys):
     rc = cli.main(
         ["run", str(SCENARIOS / "experiment-conditional.cfg"), "--out", str(tmp_path)]

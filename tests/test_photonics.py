@@ -80,13 +80,13 @@ def _random_node(rng) -> NodeOptics:
 
 def test_branch_weights_and_structure(link_ab):
     for node in (link_ab.node1, link_ab.node2):
-        state = branch_emission(node)
-        assert state.total_weight == pytest.approx(1.0, abs=1e-9)
-        for b in state.branches:
-            if b.j >= 1:
-                assert np.all(b.amps[1, :] == 0)
-            if b.j >= 2:
-                assert np.all(b.amps[:, 1:] == 0)
+        flags, dens = branch_emission(node)
+        assert np.einsum("xsnsn->", dens).real == pytest.approx(1.0, abs=1e-9)
+        for c, rho in zip(flags, dens):
+            if len(c) >= 1:
+                assert np.all(rho[1, :, :, :] == 0) and np.all(rho[:, :, 1, :] == 0)
+            if len(c) >= 2:
+                assert np.all(rho[:, 1:, :, :] == 0) and np.all(rho[:, :, :, 1:] == 0)
 
 
 def test_branch_emission_dark_spin():
@@ -98,14 +98,14 @@ def test_branch_emission_dark_spin():
         eta_zpl=0.5,
         eta_psb=0.1,
     )
-    state = branch_emission(node)
-    assert len(state.branches) == 1
-    assert abs(state.branches[0].amps[1, 0]) == pytest.approx(1.0)
+    flags, dens = branch_emission(node)
+    assert flags == [frozenset()]
+    assert dens[0, 1, 0, 1, 0].real == pytest.approx(1.0)
 
 
 def test_branch_emission_lossless_single_photon():
     # Unit efficiency, pure single-photon emission, everything in window:
-    # a single coherent branch remains.
+    # a single pure, unflagged class remains.
     node = NodeOptics(
         alpha=0.3,
         p_zpl=1.0,
@@ -114,11 +114,12 @@ def test_branch_emission_lossless_single_photon():
         eta_zpl=1.0,
         eta_psb=1.0,
     )
-    state = branch_emission(node)
-    assert len(state.branches) == 1
-    amps = state.branches[0].amps
-    assert abs(amps[1, 0]) ** 2 == pytest.approx(0.7)
-    assert abs(amps[0, 1]) ** 2 == pytest.approx(0.3)
+    flags, dens = branch_emission(node)
+    assert flags == [frozenset()]
+    rho = dens[0].reshape(6, 6)
+    assert np.trace(rho @ rho).real == pytest.approx(1.0)
+    assert rho[3, 3].real == pytest.approx(0.7)  # spin |1>, no photon
+    assert rho[1, 1].real == pytest.approx(0.3)  # spin |0>, one photon
 
 
 def test_ideal_link_heralds_bell_state():
@@ -150,9 +151,7 @@ def test_no_double_bright_population_without_noise(link_ab):
 def test_window_mismatch_rejected(link_ab, link_bc):
     with pytest.raises(photonics.PhotonicsError):
         interfere_and_herald(
-            branch_emission(link_ab.node1),
-            branch_emission(replace(link_bc.node2, windows=_flat_windows())),
-            replace(link_ab, node2=replace(link_bc.node2, windows=_flat_windows())),
+            replace(link_ab, node2=replace(link_bc.node2, windows=_flat_windows()))
         )
 
 
@@ -263,9 +262,9 @@ def test_budget_heralds_protocol_only_link_once(link_ab, monkeypatch):
     calls = []
     herald = photonics.interfere_and_herald
 
-    def counting(*args):
-        calls.append(args[2])
-        return herald(*args)
+    def counting(link):
+        calls.append(link)
+        return herald(link)
 
     monkeypatch.setattr(photonics, "interfere_and_herald", counting)
     link = replace(link_ab)  # a new object: nothing cached yet

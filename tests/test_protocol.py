@@ -168,7 +168,6 @@ def test_mc_shot_records(experiment):
             assert out.rho is not None
             assert out.bsm_bob is not None and out.bsm_charlie is not None
             assert out.attempts_bc <= experiment.timeout
-            assert out.duration_s > 0
     assert "bc_timeout" in seen_abort
 
 

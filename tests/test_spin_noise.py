@@ -107,6 +107,30 @@ def test_decoupling_infeasible_pair_rejected():
         sn.decoupling_channel(0.0, eig, sup)
 
 
+_PAULI_WEIGHTS = st.tuples(*[st.floats(0.0, 1.0)] * 4).filter(lambda v: sum(v) > 0)
+
+_CHANNELS = st.one_of(
+    st.floats(0.0, 1.0).map(sn.depolarizing),
+    st.floats(-1.0, 1.0).map(sn.dephasing_from_factor),
+    _PAULI_WEIGHTS.map(lambda v: hb.pauli_channel(*(np.array(v[1:]) / sum(v)))),
+    st.floats(0.0, 5.0).map(
+        lambda t: sn.decoupling_channel(t, _fit("alice", "eigen"), _fit("alice", "super"))
+    ),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(ch=_CHANNELS)
+def test_channels_are_cptp_property(ch):
+    # Trace preserving: sum K^dag K = I.  Completely positive: the Choi
+    # matrix, the channel applied to half of |phi+>, has no negative
+    # eigenvalue.
+    completeness = sum(k.conj().T @ k for k in ch.kraus)
+    assert np.max(np.abs(completeness - np.eye(2))) <= 1e-12
+    choi = hb.apply_channel(hb.bell_state(("ref", "q")), ch, ["q"]).matrix
+    assert np.linalg.eigvalsh(choi).min() >= -1e-12
+
+
 _FIDELITY_FITS = st.builds(
     lambda a, scale, stretch: sn.DecayFit(a, scale, stretch, offset=0.5),
     st.floats(0.01, 0.5),
