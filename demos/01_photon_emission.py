@@ -10,7 +10,7 @@ import numpy as np
 from teleportsim import emitter
 
 GAMMA = 1.0 / 12.0  # excited-state decay rate for a 12 ns lifetime
-GRID = emitter.TimeGrid(dt=0.01, horizon=200.0)
+GRID = emitter.TimeGrid(horizon=200.0)
 
 print("== Bare pi pulse ==")
 pars = emitter.EmitterParams(gamma=GAMMA, alpha=0.07)
@@ -28,12 +28,9 @@ print(
 )
 
 print("\n== Emission timing ==")
-timing = sol.solution
-t = timing.times
-total = np.cumsum(timing.first_rate) * (t[1] - t[0])
-for frac in (0.5, 0.9, 0.99):
-    t_frac = t[np.searchsorted(total, frac * total[-1])]
-    print(f"{int(frac * 100):>3}% of first photons emitted by t = {t_frac:5.1f} ns")
+for t in (10.0, 30.0, 60.0):
+    share = emitter.window_probabilities(sol, (0.0, t), (0.0, 190.0)).p_dz1
+    print(f"{share:6.1%} of single photons emitted by t = {t:4.1f} ns")
 
 print("\n== Detection windows ==")
 for window in (15.0, 10.0, 7.5):

@@ -3,13 +3,17 @@
 The optically driven transition |0> <-> |e> decays at rate gamma; a photon
 emission drops the system back into |0>, where the same pulse can re-excite
 it, and a second emission ends the attempt.  More than two emissions are
-neglected.  Between emissions the emitter evolves under the no-jump
-propagator U(t) of the two-level generator A = [[0, -i Omega], [-i Omega,
--gamma/2]]: exact in closed form for square pulses, chained from exact steps
-at midpoint amplitude for gaussian ones.  U alone gives the probabilities
-P0/P1/P2 of emitting zero, one or two photons per attempt, and prefix sums
-over the first emission time from which the share of photons falling in
-each detection window is read off by grid index.
+neglected.  The drive is a square pulse.  Between emissions the emitter
+evolves under the no-jump propagator U of the two-level generator
+A = [[0, -i Omega], [-i Omega, -gamma/2]], in closed form before, during and
+after the pulse, and the norm U loses is the emission probability.  So the
+chance of no photon over any interval is a closed form, and only the time of
+a first photon that can be followed by a second needs integrating: those
+fall while the drive is on (after the pulse |0> stays dark), and a fixed
+Gauss-Legendre rule per piece of the pulse, cut at the window edges, sums
+them.  That gives the probabilities P0/P1/P2 of emitting zero, one or two
+photons per attempt and the share of photons falling in each detection
+window, with no time grid.
 
 Time is in nanoseconds, rates in 1/ns.
 """
@@ -17,7 +21,6 @@ Time is in nanoseconds, rates in 1/ns.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from functools import cached_property
 
 import numpy as np
 
@@ -28,15 +31,15 @@ class EmitterError(ValueError):
 
 @dataclass(frozen=True)
 class PulseShape:
-    """Optical excitation pulse: square or (truncated) gaussian envelope."""
+    """Square optical excitation pulse."""
 
     kind: str
-    omega_max: float  # peak Rabi amplitude, rad/ns
+    omega_max: float  # Rabi amplitude, rad/ns
     duration_ns: float
     start_ns: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.kind not in ("square", "gaussian"):
+        if self.kind != "square":
             raise EmitterError(f"unknown pulse kind {self.kind!r}")
         if self.duration_ns <= 0:
             raise EmitterError("pulse duration must be positive")
@@ -50,19 +53,11 @@ class PulseShape:
     def amplitude(self, t: np.ndarray | float) -> np.ndarray | float:
         """Rabi amplitude Omega(t)."""
         t = np.asarray(t, dtype=float)
-        inside = (t >= self.start_ns) & (t < self.end_ns)
-        if self.kind == "square":
-            return np.where(inside, self.omega_max, 0.0)
-        center = self.start_ns + 0.5 * self.duration_ns
-        sigma = self.duration_ns / 4.0
-        return np.where(inside, self.omega_max * np.exp(-0.5 * ((t - center) / sigma) ** 2), 0.0)
+        return np.where((t >= self.start_ns) & (t < self.end_ns), self.omega_max, 0.0)
 
     def area(self) -> float:
         """Integrated pulse area in radians (factor 2 for the Rabi convention)."""
-        if self.kind == "square":
-            return 2.0 * self.omega_max * self.duration_ns
-        t = np.linspace(self.start_ns, self.end_ns, 4001)
-        return float(2.0 * np.trapezoid(self.amplitude(t), t))
+        return 2.0 * self.omega_max * self.duration_ns
 
 
 @dataclass(frozen=True)
@@ -84,169 +79,142 @@ class EmitterParams:
 
 @dataclass(frozen=True)
 class TimeGrid:
-    dt: float = 0.01
+    """Simulated time span: photons count from 0 up to ``horizon`` ns."""
+
     horizon: float = 200.0
 
     def __post_init__(self) -> None:
-        if self.dt <= 0 or self.horizon <= self.dt:
-            raise EmitterError("need 0 < dt < horizon")
-
-    @cached_property
-    def times(self) -> np.ndarray:
-        n = int(round(self.horizon / self.dt))
-        return np.arange(n + 1) * self.dt
+        if not self.horizon > 0:
+            raise EmitterError("need a positive horizon")
 
 
-def _check_step(pulse: PulseShape, params: EmitterParams, grid: TimeGrid) -> None:
-    if pulse.omega_max * grid.dt >= 0.05:
-        raise EmitterError(
-            f"time step too coarse: |H| dt = {pulse.omega_max * grid.dt:.3f} >= 0.05"
-        )
-    if params.gamma * grid.dt >= 0.05:
-        raise EmitterError(f"time step too coarse: gamma dt = {params.gamma * grid.dt:.3f} >= 0.05")
-    if pulse.end_ns > grid.horizon:
-        raise EmitterError("pulse extends beyond the simulated horizon")
+# Gauss-Legendre rule on [-1, 1], applied to each smooth piece of the pulse.
+# It sums products of two propagator populations, which oscillate at up to
+# 4 Omega, to rounding level on pieces of at most 8 rad of Rabi phase.
+_GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
+_PHASE_PER_PIECE = 8.0
 
 
-def _step_exponential(
-    omega: np.ndarray | float, gamma: float, tau: np.ndarray | float
-) -> np.ndarray:
-    """exp(A tau) for the no-jump generator A = [[0, -i om], [-i om, -gamma/2]].
+def _driven(omega: float, gamma: float, tau: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+    """Amplitudes on (|0>, |e>) of exp(A tau)|0> for A = [[0, -i om], [-i om, -gamma/2]].
 
     A = -gamma/4 + B with B^2 = -nu^2, nu = sqrt(om^2 - gamma^2/16), so
     exp(A tau) = exp(-gamma tau/4) (cos(nu tau) + B sin(nu tau)/nu); a complex
-    nu covers the overdamped side and sinc the limit nu -> 0.  Broadcasts over
-    ``omega`` and ``tau``; returns shape (..., 2, 2).
+    nu covers the overdamped side, and at nu = 0 sin(nu tau)/nu is tau.
     """
-    omega, tau = np.broadcast_arrays(np.asarray(omega, dtype=float), np.asarray(tau, dtype=float))
-    nu = np.sqrt(omega.astype(complex) ** 2 - gamma**2 / 16.0)
+    tau = np.asarray(tau, dtype=float)
+    nu = np.sqrt(complex(omega**2 - gamma**2 / 16.0))
     damp = np.exp(-0.25 * gamma * tau)
-    c = damp * np.cos(nu * tau)
-    s = damp * tau * np.sinc(nu * tau / np.pi)  # damp * sin(nu tau) / nu
-    out = np.empty(omega.shape + (2, 2), dtype=complex)
-    out[..., 0, 0] = c + 0.25 * gamma * s
-    out[..., 0, 1] = out[..., 1, 0] = -1j * omega * s
-    out[..., 1, 1] = c - 0.25 * gamma * s
-    return out
-
-
-def _pulse_index(pulse: PulseShape, t: np.ndarray) -> int:
-    """Index of the first time on the uniform grid ``t`` at or after the pulse end."""
-    return min(int(np.ceil(pulse.end_ns / (t[1] - t[0]) - 1e-9)), len(t) - 1)
-
-
-def _propagators(pulse: PulseShape, gamma: float, t: np.ndarray) -> np.ndarray:
-    """No-jump propagators U(t_k) from time 0 on the uniform grid prefix ``t``.
-
-    Square pulses are exact: U(t) = D(t - end) exp(A tau) D(min(t, start)) with
-    tau the driven time and D(s) = diag(1, exp(-gamma s/2)) the free decay.
-    Gaussian pulses chain the step exponential at each step's midpoint
-    amplitude.  Once the drive is off, U decays freely in closed form.
-    """
-    n_on = _pulse_index(pulse, t)
-    us = np.empty((len(t), 2, 2), dtype=complex)
-    if pulse.kind == "square":
-        on = t[: n_on + 1]
-        tau = np.clip(on - pulse.start_ns, 0.0, pulse.duration_ns)
-        us[: n_on + 1] = _step_exponential(pulse.omega_max, gamma, tau)
-        us[: n_on + 1, :, 1] *= np.exp(-0.5 * gamma * np.minimum(on, pulse.start_ns))[:, None]
-        us[: n_on + 1, 1, :] *= np.exp(-0.5 * gamma * np.maximum(on - pulse.end_ns, 0.0))[:, None]
-    else:
-        dt = t[1] - t[0]
-        steps = _step_exponential(pulse.amplitude(t[:n_on] + 0.5 * dt), gamma, dt)
-        us[0] = np.eye(2)
-        for k in range(n_on):
-            us[k + 1] = steps[k] @ us[k]
-    us[n_on:] = us[n_on]
-    us[n_on:, 1, :] *= np.exp(-0.5 * gamma * (t[n_on:] - t[n_on]))[:, None]
-    return us
-
-
-def _jump_vectors(us: np.ndarray, gamma: float, t: np.ndarray) -> np.ndarray:
-    """v(t) = U(t)^{-1} |0> from the adjugate, using det U(t) = exp(-gamma t/2)."""
-    return np.exp(0.5 * gamma * t)[:, None] * np.stack((us[:, 1, 1], -us[:, 1, 0]), axis=1)
-
-
-def _pulse_populations(
-    pulse: PulseShape, params: EmitterParams, grid: TimeGrid
-) -> tuple[float, float]:
-    """(P0, P2) of one excitation attempt; P1 = 1 - P0 - P2.
-
-    P0 = |<0|U(T)|0>|^2 and P2 = sum_k w1(t_k) (1 - survive(t_k)) w_k, the
-    first-emission density times the chance of a second emission by the
-    horizon T, on the trapezoid rule.  After a first emission the emitter is
-    back in |0>, so only first emissions while the drive is on can be
-    followed by a second: the sum runs over the pulse interval and the free
-    decay up to T enters in closed form.  Raises if more than 1e-6 of the
-    population is still excited at T.
-    """
-    _check_step(pulse, params, grid)
-    g = params.gamma
-    t = grid.times[: _pulse_index(pulse, grid.times) + 1]
-    us = _propagators(pulse, g, t)
-    w1 = g * np.abs(us[:, 1, 0]) ** 2
-    chi = np.einsum("ij,kj->ki", us[-1], _jump_vectors(us, g, t))
-    tail = np.exp(-g * (grid.times[-1] - t[-1]))  # share of |e> at t[-1] still excited at T
-    survive = np.abs(chi[:, 0]) ** 2 + tail * np.abs(chi[:, 1]) ** 2
-    # The last point, at or after the pulse end, has chi = |0> and adds nothing.
-    w = _trapezoid_weights(t)
-    p2 = float(np.sum(w1 * (1.0 - survive) * w))
-    residual = tail * float(np.abs(us[-1, 1, 0]) ** 2 + np.sum(w1 * np.abs(chi[:, 1]) ** 2 * w))
-    if residual > 1e-6:
-        raise EmitterError(f"excited population {residual:.2e} left at the horizon exceeds 1e-6")
-    return float(np.abs(us[-1, 0, 0]) ** 2), p2
+    s = damp * (np.sin(nu * tau) / nu if nu else tau)  # damp * sin(nu tau) / nu
+    return damp * np.cos(nu * tau) + 0.25 * gamma * s, -1j * omega * s
 
 
 @dataclass(frozen=True)
 class EmissionSolution:
-    """Grid sums of one emission solution that the window tables read.
+    """Emission timing of one square pulse, in closed form up to the horizon.
 
-    A first photon at t_k leaves the emitter in v_k = U(t_k)^{-1} |0>, so a
-    second one falls in [t_lo, t_hi] with probability
-    v_k^dag (A(t_hi) - A(max(t_lo, t_k))) v_k, A the cumulative flux.  With
-    fw_k the first-emission weight, a sum of that over first photons in an
-    index range needs only two prefix sums: ``vv_prefix[k]`` of
-    fw v v^dag and ``vav_prefix[k]`` of fw v^dag A v over the points before
-    k.  As in :func:`_pulse_populations`, only first photons while the drive
-    is on can be followed by a second, so the prefix sums stop at the pulse
-    end and later first photons add exactly nothing.
+    From |0> the emitter stays put until the pulse starts at s and follows
+    exp(A (t - s))|0> until it ends at e; after that |e> decays freely.  A
+    first photon at t1 resets it to |0>, so a second photon needs the drive
+    still on: first photons after e come alone.  For t1 in [s, e] the chance
+    of no second photon by t is the norm S(t, t1) of the no-jump state
+    exp(A (min(t, e) - t1))|0>, with its |e> part decayed by
+    exp(-gamma (t - e)) past e.
     """
 
-    times: np.ndarray
-    pulse_end: float
-    first_rate: np.ndarray  # w1(t): unconditional first-emission density
-    survive_after_first: np.ndarray  # P(no second emission | first at t)
-    cumulative_flux: np.ndarray  # A(t) = gamma * int_0^t M(s)^dag M(s) ds, (n, 2, 2)
-    vv_prefix: np.ndarray  # (m + 1, 2, 2), m the grid index of the pulse end
-    vav_prefix: np.ndarray  # (m + 1,)
+    pulse: PulseShape
+    gamma: float
+    horizon: float
 
-    def pair_sum(self, a: int, b: int, lo: int, hi: int) -> float:
-        """sum over a <= k < b of fw_k v_k^dag (A[hi] - A[max(lo, k)]) v_k, clipped at 0.
+    def __post_init__(self) -> None:
+        if self.pulse.end_ns > self.horizon:
+            raise EmitterError("pulse extends beyond the simulated horizon")
 
-        Up to k = lo the lower end is A[lo]; from there on it is the point's
-        own A[k], held in ``vav_prefix``.  First photons at or after ``hi``
-        would add a negative mass and are left out, as is everything when
-        the span is empty.
+    @property
+    def _pulse_cuts(self) -> np.ndarray:
+        """The pulse edges, with equal pieces between them short enough for the rule."""
+        p = self.pulse
+        pieces = max(int(np.ceil(p.omega_max * p.duration_ns / _PHASE_PER_PIECE)), 1)
+        return np.linspace(p.start_ns, p.end_ns, pieces + 1)
+
+    def _first_photons(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Rule nodes t1 on each driven piece [lo, hi], and their weights times w1(t1).
+
+        w1 = gamma |<e|U(t1)|0>|^2 is the density of first emissions.
         """
-        if hi <= lo:
-            return 0.0
-        a_hi = self.cumulative_flux[hi]
-        vv, vav = self.vv_prefix, self.vav_prefix
-        mid_lo, mid_hi = max(a, lo), min(b, hi)
-        early = np.vdot(_span(vv, a, min(b, lo)), a_hi - self.cumulative_flux[lo])
-        late = np.vdot(_span(vv, mid_lo, mid_hi), a_hi) - _span(vav, mid_lo, mid_hi)
-        return max(float(np.real(early + late)), 0.0)
+        half = 0.5 * (hi - lo)[:, None]
+        t1 = 0.5 * (hi + lo)[:, None] + half * _GL_X
+        excited = _driven(self.pulse.omega_max, self.gamma, t1 - self.pulse.start_ns)[1]
+        return t1, half * _GL_W * self.gamma * np.abs(excited) ** 2
 
+    def _from_ground(self, t: np.ndarray, t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """|0> and |e> populations at t of the no-jump state, in |0> at t0 in the pulse.
 
-def _span(prefix: np.ndarray, a: int, b: int) -> np.ndarray:
-    """Sum of the terms a <= k < b of a zero-led prefix sum; terms past its end are 0."""
-    last = len(prefix) - 1
-    return prefix[min(max(a, b), last)] - prefix[min(a, last)]
+        Their sum is S(t, t0), the chance of no photon in [t0, t]; at
+        t <= t0 they are (1, 0).
+        """
+        end = self.pulse.end_ns
+        ground, excited = _driven(self.pulse.omega_max, self.gamma, np.clip(t, t0, end) - t0)
+        decay = np.exp(-self.gamma * np.maximum(t - end, 0.0))
+        return np.abs(ground) ** 2, np.abs(excited) ** 2 * decay
+
+    def populations(self) -> tuple[float, float]:
+        """(P0, P2) of one excitation attempt; P1 = 1 - P0 - P2.
+
+        P0 = |<0|U(T)|0>|^2 at the horizon T and P2 the rule's sum over first
+        photons in the pulse of w1 (1 - S(T, t1)).  Two guards hold to 1e-6:
+        the excited population left at T, and the rule's sum of w1 over the
+        pulse against the exact emission probability 1 - |U(e)|0>|^2 there
+        (the free decay after e is the same closed form on both sides), which
+        fails for a drive too fast for the rule.
+        """
+        cuts = self._pulse_cuts
+        t1, first = self._first_photons(cuts[:-1], cuts[1:])
+        ground, excited = self._from_ground(np.array(self.horizon), t1)
+        p2 = float(np.sum(first * (1.0 - ground - excited)))
+        p0, left = self._from_ground(np.array(self.horizon), cuts[0])
+        left = float(left + np.sum(first * excited))
+        if left > 1e-6:
+            raise EmitterError(f"excited population {left:.2e} left at the horizon exceeds 1e-6")
+        quadrature = abs(np.sum(first) - (1.0 - np.sum(self._from_ground(cuts[-1], cuts[0]))))
+        if quadrature > 1e-6:
+            raise EmitterError(f"first-emission quadrature residual {quadrature:.2e} exceeds 1e-6")
+        return float(p0), p2
+
+    def cell_masses(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Photon masses over the cells between sorted ``edges`` inside [0, horizon].
+
+        Returns ``single[i]``, the probability of exactly one photon, in cell
+        i, and ``pair[i, j]``, of a first photon in cell i and a second in
+        cell j.  The cells are cut further at the pulse edges and the
+        horizon, so the first-photon rule runs on smooth pieces only.
+        """
+        pulse, horizon = self.pulse, self.horizon
+        edges = np.clip(edges, 0.0, horizon)
+        cuts = np.unique(np.concatenate([edges, self._pulse_cuts, [horizon]]))
+        lo, hi = cuts[:-1], cuts[1:]
+        driven = (lo >= pulse.start_ns) & (hi <= pulse.end_ns)
+        t1, first = self._first_photons(lo[driven], hi[driven])
+        ground, excited = self._from_ground(cuts, t1[..., None])
+        by_cut = first[..., None] * (1.0 - ground - excited)  # second photon by each cut
+        single = np.zeros(len(lo))
+        single[driven] = np.sum(first - by_cut[..., -1], axis=1)
+        # First photons after the pulse: the decay of the no-jump |e> population.
+        no_jump = self._from_ground(cuts, pulse.start_ns)[1]
+        after = lo >= pulse.end_ns
+        single[after] = (no_jump[:-1] - no_jump[1:])[after]
+        pair = np.zeros((len(lo), len(lo)))
+        pair[driven] = np.diff(np.sum(by_cut, axis=1), axis=1)
+        # Sum the cells into the caller's through cumulative sums at its edges.
+        at = np.searchsorted(cuts, edges)
+        single_sum = np.concatenate([[0.0], np.cumsum(single)])[at]
+        pair_sum = np.pad(np.cumsum(np.cumsum(pair, axis=0), axis=1), ((1, 0), (1, 0)))
+        return np.diff(single_sum), np.diff(np.diff(pair_sum[np.ix_(at, at)], axis=0), axis=1)
 
 
 @dataclass(frozen=True)
 class EmissionProbabilities:
-    """Photon-number probabilities for one pulse, with its grid solution."""
+    """Photon-number probabilities for one pulse, with its timing solution."""
 
     p0: float
     p1: float
@@ -279,46 +247,12 @@ def solve_emission(
 ) -> EmissionProbabilities:
     """Emission statistics of one excitation attempt, starting in |0>.
 
-    Everything follows from the no-jump propagator U(t) of the driven
-    two-level system: the photon-number probabilities from
-    :func:`_pulse_populations`, and on the full grid the first-emission
-    density w1 = gamma |<e|U(t)|0>|^2, the survival after a first emission
-    and the prefix sums of :class:`EmissionSolution`.  Two guards hold to
-    1e-6: the excited population left at the horizon, and the trapezoid sum
-    of w1 against the exact emission probability 1 - |U(T)|0>|^2.
+    P0/P1/P2 come from :meth:`EmissionSolution.populations`, with its two
+    1e-6 guards; the solution itself goes along for the window tables.
     """
-    grid = grid or TimeGrid()
-    p0, p2 = _pulse_populations(pulse, params, grid)
-    t = grid.times
-    g = params.gamma
-    us = _propagators(pulse, g, t)
-    w1 = g * np.abs(us[:, 1, 0]) ** 2
-    weights = _trapezoid_weights(t)
-    quadrature = abs(np.sum(w1 * weights) - (1.0 - np.sum(np.abs(us[-1, :, 0]) ** 2)))
-    if quadrature > 1e-6:
-        raise EmitterError(f"first-emission quadrature residual {quadrature:.2e} exceeds 1e-6")
-    m = us[:, 1, :]  # <e| U(t)
-    flux = g * np.einsum("ki,kj->kij", m.conj(), m)
-    a = np.zeros_like(flux)
-    a[1:] = np.cumsum(0.5 * (flux[1:] + flux[:-1]) * grid.dt, axis=0)
-    v = _jump_vectors(us, g, t)
-    chi_end = np.einsum("ij,kj->ki", us[-1], v)
-    survive = np.abs(chi_end[:, 0]) ** 2 + np.abs(chi_end[:, 1]) ** 2
-    on = _pulse_index(pulse, t)
-    fw = (w1 * weights)[:on]
-    vv = np.zeros((on + 1, 2, 2), dtype=complex)
-    vv[1:] = np.cumsum(fw[:, None, None] * np.einsum("ki,kj->kij", v[:on], v[:on].conj()), axis=0)
-    vav = np.zeros(on + 1)
-    vav[1:] = np.cumsum(fw * np.real(np.einsum("ki,kij,kj->k", v[:on].conj(), a[:on], v[:on])))
-    sol = EmissionSolution(t, pulse.end_ns, w1, survive, a, vv, vav)
+    sol = EmissionSolution(pulse, params.gamma, (grid or TimeGrid()).horizon)
+    p0, p2 = sol.populations()
     return EmissionProbabilities(p0, 1.0 - p0 - p2, p2, sol)
-
-
-def _trapezoid_weights(t: np.ndarray) -> np.ndarray:
-    w = np.full(len(t), t[1] - t[0])
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
 
 
 @dataclass(frozen=True)
@@ -403,63 +337,49 @@ def window_probabilities(
     """Split the emitted photons over the detection windows.
 
     Windows are (start_ns, length_ns), with a nonnegative length, and must
-    lie inside the simulated horizon.  Every class is a range of grid
-    indices, so each table entry is a few prefix-sum lookups.
+    lie inside the simulated horizon.  The window edges and the pulse end
+    cut the horizon into cells; every photon class is a union of cells,
+    "out" the complement of a window's in-classes.
     """
     sol = em.solution
     if sol is None:
         raise EmitterError("emission object carries no timing solution")
-    t = sol.times
-    pulse_end = sol.pulse_end
+    pulse_end = sol.pulse.end_ns
     for name, (start, length) in (("zpl", zpl_window), ("psb", psb_window)):
         if not length >= 0:
             raise EmitterError(f"{name} window length {length} is not a nonnegative number")
-        if not (start >= -1e-9 and start + length <= t[-1] + 1e-9):
+        if not (start >= -1e-9 and start + length <= sol.horizon + 1e-9):
             raise EmitterError(
                 f"{name} window [{start}, {start + length}] outside simulated horizon"
             )
     z_lo, z_hi = zpl_window[0], zpl_window[0] + zpl_window[1]
     b_lo, b_hi = psb_window[0], psb_window[0] + psb_window[1]
-    n = len(t)
+    edges = np.unique(
+        np.clip([0.0, z_lo, z_hi, b_lo, b_hi, pulse_end, sol.horizon], 0.0, sol.horizon)
+    )
+    single, pair = sol.cell_masses(edges)
+    lo, hi = edges[:-1], edges[1:]
+
+    def within(a: float, b: float) -> np.ndarray:
+        return ((lo >= a) & (hi <= b)).astype(float)
+
     # The ZPL window, then the side-band window during and after the pulse.
-    zpl = [(z_lo, z_hi)]
-    psb = [(b_lo, min(b_hi, pulse_end)), (max(b_lo, pulse_end), b_hi)]
+    zin = within(z_lo, z_hi)
+    dur, aft = within(b_lo, min(b_hi, pulse_end)), within(max(b_lo, pulse_end), b_hi)
+    zpl = np.stack([zin, 1.0 - zin])
+    psb = np.stack([dur, aft, 1.0 - dur - aft])
 
-    def classes(bounds: list, second: bool) -> list:
-        """Index ranges of the in-window classes, then of "out", their complement.
-
-        A first photon at t_k is in [lo, hi) by its index k; a second
-        photon's span runs between the grid points at lo and hi, rounded up
-        as the cumulative flux is looked up.
-        """
-        if second:
-            end = n - 1
-            edges = np.minimum(np.searchsorted(t, np.minimum(bounds, t[-1]) - 1e-12), end)
-        else:
-            end = n
-            edges = np.searchsorted(t, bounds)
-        inside = [tuple(e) for e in edges]
-        return [[r] for r in inside] + [[(0, inside[0][0]), (inside[-1][1], end)]]
-
-    # Exactly-one-photon shares: the first photon without a second.
-    single = sol.first_rate * sol.survive_after_first * _trapezoid_weights(t)
-    p1_mass = float(np.sum(single))
+    # Exactly-one-photon shares, then the two-photon tables over (first
+    # photon class, second photon class).
+    p1_mass, p2_mass = np.sum(single), np.sum(pair)
     p_dz1, p_db1_dur, p_db1_aft = (
-        float(np.sum(single[a:b])) / p1_mass if p1_mass > 0 else 0.0
-        for a, b in np.searchsorted(t, zpl + psb)
+        float(c @ single / p1_mass) if p1_mass > 0 else 0.0 for c in (zin, dur, aft)
     )
 
-    # Two-photon tables over (first photon class, second photon class).
-    p2_mass = sol.pair_sum(0, n, 0, n - 1)
-
-    def table(first_bounds: list, second_bounds: list) -> np.ndarray:
-        rows, cols = classes(first_bounds, False), classes(second_bounds, True)
-        out = np.zeros((len(rows), len(cols)))
+    def table(first: np.ndarray, second: np.ndarray) -> np.ndarray:
         if p2_mass > 0:
-            for i, j in np.ndindex(out.shape):
-                mass = sum(sol.pair_sum(a, b, lo, hi) for a, b in rows[i] for lo, hi in cols[j])
-                out[i, j] = mass / p2_mass
-        return out
+            return first @ pair @ second.T / p2_mass
+        return np.zeros((len(first), len(second)))
 
     zz, bb, zb, bz = table(zpl, zpl), table(psb, psb), table(zpl, psb), table(psb, zpl)
     wp = WindowProbabilities(
@@ -478,23 +398,20 @@ def calibrate_pulse(
 ) -> PulseShape:
     """Choose the pulse amplitude that reproduces a target re-excitation probability.
 
-    Bisects the peak amplitude with the pulse area constrained to
-    [0.8 pi, 1.2 pi] (the protocol wants near-maximal excitation); raises if
-    the target cannot be bracketed there.
+    Bisects the amplitude with the pulse area constrained to [0.8 pi,
+    1.2 pi] (the protocol wants near-maximal excitation); raises if the
+    target cannot be bracketed there.
     """
-    grid = grid or TimeGrid()
+    horizon = (grid or TimeGrid()).horizon
     if not 0.0 <= target_p2 < 0.5:
         raise EmitterError(f"target double-emission probability {target_p2} not in [0, 0.5)")
-    area_scale = template.area() / template.omega_max if template.omega_max > 0 else None
-    if area_scale is None:
-        probe = PulseShape(template.kind, 1.0, template.duration_ns, template.start_ns)
-        area_scale = probe.area()
+    area_scale = 2.0 * template.duration_ns
 
     def pulse_at(om: float) -> PulseShape:
         return PulseShape(template.kind, om, template.duration_ns, template.start_ns)
 
     def p2_of(om: float) -> float:
-        return _pulse_populations(pulse_at(om), params, grid)[1]
+        return EmissionSolution(pulse_at(om), params.gamma, horizon).populations()[1]
 
     om_lo = 0.8 * np.pi / area_scale
     om_hi = 1.2 * np.pi / area_scale

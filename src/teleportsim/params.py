@@ -19,7 +19,7 @@ import numpy as np
 from . import emitter, photonics
 
 LIFETIME_NS = 12.0  # excited-state lifetime (calibration input)
-GRID = emitter.TimeGrid(dt=0.01, horizon=200.0)
+GRID = emitter.TimeGrid(horizon=200.0)
 PSB_WINDOW = (0.0, 190.0)  # side-band monitoring spans pulse and decay
 
 
@@ -155,8 +155,6 @@ def _build_link(cfg: LinkConfig, window: float) -> photonics.LinkParams:
             )
             for node in nodes
         ]
-    # Every window is integrated: the link keeps no emitter grid solution.
-    nodes = [replace(node, emission=replace(node.emission, solution=None)) for node in nodes]
     return photonics.LinkParams(
         node1=nodes[0],
         node2=nodes[1],

@@ -160,18 +160,14 @@ class BsmModel:
     memory_fidelities: tuple[float, float]
     accept_fraction: float = 1.0  # consistent repetitive-readout patterns
     cr_pass: float = 1.0
-    policy: str = "comm0"  # comm0 | comm0-mem0 | all
+    policy: str = "comm0"  # comm0 | all
 
     def __post_init__(self) -> None:
-        if self.policy not in ("comm0", "comm0-mem0", "all"):
+        if self.policy not in ("comm0", "all"):
             raise ProtocolError(f"unknown acceptance policy {self.policy!r}")
 
     def accepts(self, m: int, c: int) -> bool:
-        if self.policy == "comm0":
-            return c == 0
-        if self.policy == "comm0-mem0":
-            return c == 0 and m == 0
-        return True
+        return c == 0 or self.policy == "all"
 
     @property
     def accepted(self) -> np.ndarray:

@@ -18,8 +18,6 @@ import numpy as np
 
 from .hilbert import Channel, QuantumState, pauli_channel
 
-EXP_TOL = 1e-6
-
 
 class SpinNoiseError(ValueError):
     pass
@@ -161,7 +159,6 @@ class BarResult:
     assigned: int
     pattern: tuple[int, ...]
     consistent: bool
-    post_memory: QuantumState
 
 
 def _expected_bit(assigned: int, block: int) -> int:
@@ -203,9 +200,7 @@ def bar_readout(
     consistent = all(
         bit == _expected_bit(assigned, k) for k, bit in enumerate(pattern, start=1)
     )
-    basis = np.zeros((2, 2), dtype=complex)
-    basis[m, m] = 1.0
-    return BarResult(assigned, tuple(pattern), consistent, QuantumState((2,), memory.labels, basis))
+    return BarResult(assigned, tuple(pattern), consistent)
 
 
 def _bar_block_distribution(params: ReadoutParams, m: int, block: int) -> list[tuple[float, int, int]]:

@@ -1,36 +1,49 @@
 """Per-grid-point reference for the emitter's window tables.
 
-Every first-photon grid time t_k carries its own second-photon mass over an
-interval, v_k^dag (A(hi) - A(max(lo, t_k))) v_k clipped at zero, looked up
-point by point in the cumulative flux A; each table entry then sums the
+On a uniform time grid, the no-jump propagators U(t_k) of a square pulse
+come from the eigen-decomposition of the driven generator, the jump vectors
+v_k = U(t_k)^{-1} |0> from the 2x2 inverse, and the cumulative flux A from the
+trapezoid rule.  Every first-photon grid time t_k then carries its own
+second-photon mass over an interval, v_k^dag (A(hi) - A(max(lo, t_k))) v_k
+clipped at zero, looked up point by point in A; each table entry sums the
 first-emission weight times that mass over a 0/1 indicator of the first
-photon's class.  It reuses only the emitter's propagators, jump vectors and
-trapezoid weights, never its prefix sums or its table assembly.
+photon's class.  Nothing is taken from the emitter module but its parameter
+and result types, so the error of this reference is first order in the grid
+step, from rounding the window edges to grid points.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from teleportsim.emitter import (
-    EmitterParams,
-    PulseShape,
-    TimeGrid,
-    WindowProbabilities,
-    _jump_vectors,
-    _propagators,
-    _trapezoid_weights,
-)
+from teleportsim.emitter import EmitterParams, PulseShape, WindowProbabilities
+
+
+def _propagators(pulse: PulseShape, gamma: float, t: np.ndarray) -> np.ndarray:
+    """U(t_k) = D(t - end) exp(A tau) D(min(t, start)), D(s) = diag(1, exp(-gamma s/2)).
+
+    exp(A tau) = sum_j exp(lambda_j tau) P_j over the eigenvalues of A and
+    their spectral projectors P_j.
+    """
+    om = pulse.omega_max
+    lam, vec = np.linalg.eig(np.array([[0.0, -1j * om], [-1j * om, -0.5 * gamma]]))
+    projectors = np.einsum("ij,jl->jil", vec, np.linalg.inv(vec))
+    tau = np.clip(t - pulse.start_ns, 0.0, pulse.duration_ns)
+    us = np.tensordot(np.exp(np.outer(tau, lam)), projectors, axes=1)
+    us[:, :, 1] *= np.exp(-0.5 * gamma * np.minimum(t, pulse.start_ns))[:, None]
+    us[:, 1, :] *= np.exp(-0.5 * gamma * np.maximum(t - pulse.end_ns, 0.0))[:, None]
+    return us
 
 
 def grid_window_tables(
     pulse: PulseShape,
     params: EmitterParams,
-    grid: TimeGrid,
+    dt: float,
+    horizon: float,
     zpl_window: tuple[float, float],
     psb_window: tuple[float, float],
 ) -> WindowProbabilities:
-    t = grid.times
+    t = np.arange(int(round(horizon / dt)) + 1) * dt
     g = params.gamma
     pulse_end = pulse.end_ns
     us = _propagators(pulse, g, t)
@@ -38,8 +51,9 @@ def grid_window_tables(
     m = us[:, 1, :]
     flux = g * np.einsum("ki,kj->kij", m.conj(), m)
     cumulative_flux = np.zeros_like(flux)
-    cumulative_flux[1:] = np.cumsum(0.5 * (flux[1:] + flux[:-1]) * grid.dt, axis=0)
-    v = _jump_vectors(us, g, t)
+    cumulative_flux[1:] = np.cumsum(0.5 * (flux[1:] + flux[:-1]) * dt, axis=0)
+    det = us[:, 0, 0] * us[:, 1, 1] - us[:, 0, 1] * us[:, 1, 0]
+    v = np.stack((us[:, 1, 1], -us[:, 1, 0]), axis=1) / det[:, None]
     chi_end = np.einsum("ij,kj->ki", us[-1], v)
     survive = np.abs(chi_end[:, 0]) ** 2 + np.abs(chi_end[:, 1]) ** 2
 
@@ -58,7 +72,9 @@ def grid_window_tables(
 
     z_lo, z_hi = zpl_window[0], zpl_window[0] + zpl_window[1]
     b_lo, b_hi = psb_window[0], psb_window[0] + psb_window[1]
-    w = _trapezoid_weights(t)
+    w = np.full(len(t), dt)
+    w[0] *= 0.5
+    w[-1] *= 0.5
     zin = ((t >= z_lo) & (t < z_hi)).astype(float)
     bdur = ((t >= b_lo) & (t < b_hi) & (t < pulse_end)).astype(float)
     baft = ((t >= b_lo) & (t < b_hi) & (t >= pulse_end)).astype(float)

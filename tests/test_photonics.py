@@ -386,14 +386,16 @@ def test_uncalibrated_window_rejected():
 
 
 def test_link_keeps_no_emitter_grid():
-    # The emitter's grid solution is only needed to integrate the windows; a
-    # built link drops it and keeps three floats per emission, so the link
-    # cache holds well under 128 KiB per link.
+    # The emitter keeps no time grid: a built link's emissions hold three
+    # floats and a closed-form solution of pulse, decay rate and horizon, so
+    # the link cache holds well under 128 KiB per link.
     cfg = params.ideal_link_config("no-grid")
     for window in (15.0, 10.0):
         link = params.build_link(cfg, window_ns=window)
-        assert link.node1.emission.solution is None
-        assert link.node2.emission.solution is None
+        for node in (link.node1, link.node2):
+            sol = node.emission.solution
+            assert (sol.gamma, sol.horizon) == (1.0 / params.LIFETIME_NS, params.GRID.horizon)
+            assert all(np.ndim(v) == 0 for v in vars(sol.pulse).values())
     n = 3
     tracemalloc.start()
     try:
