@@ -288,45 +288,14 @@ class WindowProbabilities:
     def p_dz3(self) -> float:
         return float(self.zz[0, 1] + self.zz[1, 0])
 
-    @property
-    def p_db2(self) -> float:
-        return float(self.bb[:2, :2].sum())
-
-    @property
-    def p_db3(self) -> float:
-        return float(self.bb[:2, 2].sum() + self.bb[2, :2].sum())
-
-    @property
-    def p_dzb1(self) -> float:
-        # one ZPL + one PSB photon, both inside their windows
-        return float(0.5 * (self.zb[0, :2].sum() + self.bz[:2, 0].sum()))
-
-    @property
-    def p_dzb2(self) -> float:
-        # ZPL photon outside its window, PSB photon inside
-        return float(0.5 * (self.zb[1, :2].sum() + self.bz[:2, 1].sum()))
-
-    @property
-    def p_dzb3(self) -> float:
-        # ZPL photon inside, PSB photon outside
-        return float(0.5 * (self.zb[0, 2] + self.bz[2, 0]))
-
     def validate(self) -> None:
-        vals = [
-            self.p_dz1,
-            self.p_db1,
-            self.p_dz2,
-            self.p_dz3,
-            self.p_db2,
-            self.p_db3,
-            self.p_dzb1,
-            self.p_dzb2,
-            self.p_dzb3,
-        ]
-        if any(v < -1e-9 or v > 1.0 + 1e-9 for v in vals):
+        tables = (self.zz, self.bb, self.zb, self.bz)
+        singles = [self.p_dz1, self.p_db1_dur, self.p_db1_aft, self.p_db1]
+        values = np.concatenate([singles, *(t.ravel() for t in tables)])
+        if not np.all((values >= -1e-9) & (values <= 1.0 + 1e-9)):
             raise EmitterError("window probability outside [0,1]")
-        if self.p_dz2 + self.p_dz3 > 1.0 + 1e-9 or self.p_db2 + self.p_db3 > 1.0 + 1e-9:
-            raise EmitterError("grouped window probabilities exceed 1")
+        if any(t.sum() > 1.0 + 1e-9 for t in tables):
+            raise EmitterError("two-photon window table sums above 1")
 
 
 def window_probabilities(

@@ -236,8 +236,8 @@ class RateModel:
     bob_accept: float  # policy weight x consistent-pattern x charge check
     charlie_accept: float
     cycle_overhead_s: float = defaults.CYCLE_OVERHEAD_S
-    bsm_overhead_s: float = 5e-3
-    charlie_stage_s: float = 5e-3
+    bsm_overhead_s: float = defaults.BSM_OVERHEAD_S
+    charlie_stage_s: float = defaults.CHARLIE_STAGE_S
     event_overhead_s: float = defaults.EVENT_OVERHEAD_S
 
     def __post_init__(self) -> None:

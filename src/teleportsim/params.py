@@ -233,4 +233,6 @@ ATTEMPT_PERIOD_S = 5.5e-6
 CR_CHECK_PASS = 0.95
 FIXED_OVERHEAD_ALICE_S = 2.0e-3  # swap + phase stabilization + messaging
 CYCLE_OVERHEAD_S = 0.5  # per-cycle charge/resonance checks + stabilization
+BSM_OVERHEAD_S = 5e-3  # Bob's Bell-state measurement after a successful cycle
+CHARLIE_STAGE_S = 5e-3  # Charlie's stage (rotation and readout) per event
 EVENT_OVERHEAD_S = 20.0  # per-event calibration and dead time

@@ -37,8 +37,6 @@ import numpy as np
 from .emitter import EmissionProbabilities, WindowProbabilities
 from .hilbert import HADAMARD, HADAMARD_Y, ID2, QuantumState, fidelity
 
-EPOCHS = ("dur", "aft")
-
 
 class PhotonicsError(ValueError):
     pass
@@ -61,6 +59,11 @@ class NodeOptics:
             if not 0.0 <= v <= 1.0:
                 raise PhotonicsError(f"{name} = {v} outside [0, 1]")
 
+    @cached_property
+    def densities(self) -> tuple[list[frozenset], np.ndarray]:
+        """``branch_emission(self)``, computed once per node object."""
+        return branch_emission(self)
+
 
 @dataclass(frozen=True)
 class LinkParams:
@@ -77,8 +80,13 @@ class LinkParams:
     def __post_init__(self) -> None:
         if not 0.0 <= self.visibility <= 1.0:
             raise PhotonicsError("visibility outside [0, 1]")
-        if self.phase_uncertainty_deg < 0 or self.dark_rate_hz < 0:
-            raise PhotonicsError("negative noise parameter")
+        for name in ("phase_uncertainty_deg", "dark_rate_hz", "zpl_window_ns"):
+            v = getattr(self, name)
+            if not 0.0 <= v < math.inf:
+                raise PhotonicsError(f"{name} = {v} is not a finite nonnegative number")
+        p_dark = self.dark_rate_hz * self.zpl_window_ns * 1e-9
+        if p_dark > 1.0:
+            raise PhotonicsError(f"dark-count probability {p_dark:.3g} per window exceeds 1")
 
     @cached_property
     def heralded(self) -> HeraldedLink:
@@ -87,8 +95,21 @@ class LinkParams:
 
     @cached_property
     def protocol_only(self) -> LinkParams:
-        """This link with every error source off but the protocol (alpha) term."""
-        return _idealized(self, set())
+        """This link with every error source off but the protocol (alpha) term.
+
+        Visibility 1, no phase uncertainty, no dark counts, and both nodes
+        without double excitation.  The link budget restores one source at a
+        time onto this one link, so its nodes (and their densities) are
+        shared by every row that keeps them switched off.
+        """
+        return replace(
+            self,
+            node1=replace(self.node1, emission=self.node1.emission.without_double_excitation()),
+            node2=replace(self.node2, emission=self.node2.emission.without_double_excitation()),
+            visibility=1.0,
+            phase_uncertainty_deg=0.0,
+            dark_rate_hz=0.0,
+        )
 
 
 def branch_emission(node: NodeOptics) -> tuple[list[frozenset], np.ndarray]:
@@ -245,15 +266,19 @@ def calibrate_eta_zpl(node: NodeOptics, target: float) -> NodeOptics:
 
     One resonant photon in the window is detected with probability eta and
     two with 1 - (1 - eta)^2, so the detection probability is exactly
-    D(eta) = A eta + B (2 eta - eta^2).  A and B follow from D(1) and D(1/2);
-    the small root of D(eta) = target is checked against a third evaluation
-    to 1e-9 relative.
+    D(eta) = A eta + B (2 eta - eta^2), where A and B are the chances that
+    one and two resonant photons of the bright state land in the window.
+    Both are read off one lossless evaluation (alpha = 1, eta = 1) as its
+    n = 1 and n = 2 photon-number marginals.  The small root of
+    D(eta) = target is checked against a second evaluation to 1e-9
+    relative.
     """
-    d_one = detection_probability(replace(node, eta_zpl=1.0))
+    _, dens = branch_emission(replace(node, alpha=1.0, eta_zpl=1.0))
+    _, a, b = np.einsum("xsnsn->n", dens).real.tolist()
+    d_one = a + b  # D(1)
     if not 0.0 <= target <= d_one:
         raise PhotonicsError(f"detection probability target {target} unreachable")
-    b = 4.0 * detection_probability(replace(node, eta_zpl=0.5)) - 2.0 * d_one
-    slope = d_one + b  # A + 2B = D'(0)
+    slope = a + 2.0 * b  # D'(0)
     # Small root of B eta^2 - (A + 2B) eta + target = 0, in the form without
     # cancellation; the discriminant is at least A^2 when target <= D(1).
     root = slope + math.sqrt(max(slope * slope - 4.0 * b * target, 0.0))
@@ -382,8 +407,8 @@ class HeraldedLink:
 def interfere_and_herald(link: LinkParams) -> HeraldedLink:
     """Interfere the link's two kept modes and condition on single-detector clicks.
 
-    One contraction of the two nodes' flag-class densities (from
-    ``branch_emission``) with the beam-splitter/phase kernel gives the
+    One contraction of the two nodes' flag-class densities (``densities``,
+    from ``branch_emission``) with the beam-splitter/phase kernel gives the
     unnormalized two-spin matrix of every output configuration for every
     pair of flag classes.  Coefficient vectors over the configurations then
     apply the click patterns and dark counts: a single click heralds its
@@ -399,8 +424,8 @@ def interfere_and_herald(link: LinkParams) -> HeraldedLink:
     """
     if not np.allclose(link.node1.windows.zpl_window, link.node2.windows.zpl_window):
         raise PhotonicsError("nodes have mismatched detection windows")
-    classes1, dens1 = branch_emission(link.node1)
-    classes2, dens2 = branch_emission(link.node2)
+    classes1, dens1 = link.node1.densities
+    classes2, dens2 = link.node2.densities
 
     # Truncated weight: both nodes' photon-number marginals, n1 + n2 > 2.
     n_marg1 = np.einsum("xsnsn->n", dens1).real
@@ -477,40 +502,34 @@ def build_heralded(link: LinkParams) -> HeraldedLink:
     return link.heralded
 
 
-BUDGET_SOURCES = ("alpha", "dark", "visibility", "double-excitation", "phase")
-
-
-def _idealized(link: LinkParams, keep: set[str]) -> LinkParams:
-    """All noise sources off except the protocol (alpha) term and ``keep``."""
-    out = link
-    if "visibility" not in keep:
-        out = replace(out, visibility=1.0)
-    if "phase" not in keep:
-        out = replace(out, phase_uncertainty_deg=0.0)
-    if "dark" not in keep:
-        out = replace(out, dark_rate_hz=0.0)
-    if "double-excitation" not in keep:
-        out = replace(
-            out,
-            node1=replace(out.node1, emission=out.node1.emission.without_double_excitation()),
-            node2=replace(out.node2, emission=out.node2.emission.without_double_excitation()),
-        )
-    return out
+# The link fields each error source restores onto the protocol-only link.
+_SOURCE_FIELDS = {
+    "dark": ("dark_rate_hz",),
+    "visibility": ("visibility",),
+    "double-excitation": ("node1", "node2"),
+    "phase": ("phase_uncertainty_deg",),
+}
+BUDGET_SOURCES = ("alpha", *_SOURCE_FIELDS)
 
 
 def single_error_budget(link: LinkParams, source: str) -> float:
     """Bell-state infidelity attributed to one error source.
 
-    The protocol (bright-state population) term is always present; for the
-    other sources the returned value is the infidelity increase over the
-    protocol-only link, matching how the combined budget decomposes.
+    The "alpha" row is the infidelity of ``link.protocol_only``, where only
+    the protocol (bright-state population) term is left.  Every other row
+    restores its one source onto that link (the link's dark-count rate,
+    visibility, phase uncertainty, or its nodes with double excitation) and
+    returns the infidelity increase over the protocol-only link, as the
+    experiment's link error budget does.
     """
     if source not in BUDGET_SOURCES:
         raise PhotonicsError(f"unknown error source {source!r}")
-    base = 1.0 - build_heralded(link.protocol_only).fidelity_avg()
+    ideal = link.protocol_only
+    base = 1.0 - build_heralded(ideal).fidelity_avg()
     if source == "alpha":
         return base
-    with_src = 1.0 - build_heralded(_idealized(link, {source})).fidelity_avg()
+    restored = replace(ideal, **{f: getattr(link, f) for f in _SOURCE_FIELDS[source]})
+    with_src = 1.0 - build_heralded(restored).fidelity_avg()
     return with_src - base
 
 

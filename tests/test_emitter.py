@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -180,8 +182,24 @@ def test_window_group_sums(pi_emission):
     wp.validate()
     assert wp.p_dz2 + wp.p_dz3 <= 1.0 + 1e-9
     assert wp.p_db1_dur + wp.p_db1_aft == pytest.approx(wp.p_db1)
-    # one-ZPL-one-PSB classes partition
-    assert wp.p_dzb1 + wp.p_dzb2 + wp.p_dzb3 <= 1.0 + 1e-9
+
+
+def test_window_validation_rejects_bad_tables(pi_emission):
+    # An entry outside [0, 1] and a table holding more than every pair both
+    # raise, as does a NaN single-photon share.
+    wp = em.window_probabilities(pi_emission, (0.0, 15.0), (0.0, 199.0))
+    negative = wp.bb.copy()
+    negative[0, 0] = -1e-3
+    overfull = wp.zb.copy()
+    overfull[0, 0] += 0.5  # every entry stays in [0, 1]
+    assert np.all((overfull >= 0) & (overfull <= 1))
+    for bad, match in (
+        (replace(wp, bb=negative), "outside"),
+        (replace(wp, p_db1_aft=float("nan")), "outside"),
+        (replace(wp, zb=overfull), "sums above 1"),
+    ):
+        with pytest.raises(em.EmitterError, match=match):
+            bad.validate()
 
 
 def test_window_negative_length_rejected(pi_emission):

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from teleportsim import emitter, params, photonics
 from teleportsim.photonics import (
@@ -272,6 +274,112 @@ def test_budget_heralds_protocol_only_link_once(link_ab, monkeypatch):
     photonics.combined_infidelity(link)
     assert len(calls) == 6
     assert rows["alpha"] == 1.0 - build_heralded(link.protocol_only).fidelity_avg()
+
+
+def test_link_budget_computes_each_node_once(monkeypatch):
+    # A new design plus its budget holds four distinct nodes: the two
+    # calibrated ones (double-excitation and combined rows) and their
+    # protocol-only versions (alpha, dark, visibility and phase rows).  Each
+    # node's densities are computed once, and calibrating eta_zpl takes two
+    # evaluations per node.
+    calls = []
+
+    def counting(node):
+        calls.append(node)
+        return branch_emission(node)
+
+    monkeypatch.setattr(photonics, "branch_emission", counting)
+    for window in (15.0, 10.0):
+        calls.clear()
+        design = replace(params.LINK_AB, name=f"budget-count-{window:g}", double_excitation=0.05)
+        link = params.build_link(design, window_ns=window)
+        for source in photonics.BUDGET_SOURCES:
+            single_error_budget(link, source)
+        photonics.combined_infidelity(link)
+        assert len(calls) == 8
+
+
+def _switched_off(link: LinkParams, keep: str) -> LinkParams:
+    """Every source of ``link`` but ``keep`` off, on fresh nodes that share nothing."""
+
+    def node(n: NodeOptics) -> NodeOptics:
+        if keep == "double-excitation":
+            return replace(n)
+        return replace(n, emission=n.emission.without_double_excitation())
+
+    return replace(
+        link,
+        node1=node(link.node1),
+        node2=node(link.node2),
+        visibility=link.visibility if keep == "visibility" else 1.0,
+        phase_uncertainty_deg=link.phase_uncertainty_deg if keep == "phase" else 0.0,
+        dark_rate_hz=link.dark_rate_hz if keep == "dark" else 0.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "cfg, window",
+    [
+        (params.LINK_AB, 15.0),
+        (replace(params.LINK_BC, psb_rejection=False), 10.0),
+        (params.ideal_link_config(), 7.5),
+    ],
+)
+def test_budget_rows_match_unshared_links(cfg, window):
+    # Restoring one source onto the shared protocol-only link gives exactly
+    # the rows of links built from scratch with every other source off.
+    link = replace(params.build_link(cfg, window_ns=window))
+
+    def infidelity(lk: LinkParams) -> float:
+        return 1.0 - interfere_and_herald(lk).fidelity_avg()
+
+    base = infidelity(_switched_off(link, "alpha"))
+    for source in photonics.BUDGET_SOURCES:
+        expected = base if source == "alpha" else infidelity(_switched_off(link, source)) - base
+        assert single_error_budget(link, source) == expected
+    assert photonics.combined_infidelity(link) == infidelity(
+        replace(link, node1=replace(link.node1), node2=replace(link.node2))
+    )
+
+
+@settings(max_examples=100, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), eta=st.floats(1e-6, 1.0))
+def test_detection_probability_is_quadratic_in_eta(seed, eta):
+    # One lossless evaluation fixes D(eta) = A eta + B (2 eta - eta^2): A and
+    # B are its one- and two-photon marginals.
+    node = _random_node(np.random.default_rng(seed))
+    _, dens = branch_emission(replace(node, alpha=1.0, eta_zpl=1.0))
+    _, a, b = np.einsum("xsnsn->n", dens).real
+    model = a * eta + b * (2.0 * eta - eta * eta)
+    got = detection_probability(replace(node, eta_zpl=eta))
+    assert abs(got - model) <= 1e-14 * model
+
+
+@pytest.mark.parametrize(
+    "change",
+    [
+        {"phase_uncertainty_deg": float("nan")},
+        {"phase_uncertainty_deg": float("inf")},
+        {"phase_uncertainty_deg": -1.0},
+        {"dark_rate_hz": float("nan")},
+        {"dark_rate_hz": float("inf")},
+        {"dark_rate_hz": -1.0},
+        {"dark_rate_hz": 1e9},  # 15 dark counts per 15 ns window
+        {"zpl_window_ns": -5.0},
+        {"zpl_window_ns": float("nan")},
+        {"visibility": float("nan")},
+    ],
+)
+def test_link_rejects_bad_noise_parameters(link_ab, change):
+    # Accepted, the non-finite and oversized values give NaN or negative
+    # herald probabilities, and a negative window an unrelated error later.
+    with pytest.raises(photonics.PhotonicsError):
+        replace(link_ab, **change)
+
+
+def test_link_accepts_dark_probability_up_to_one(link_ab):
+    link = replace(link_ab, dark_rate_hz=1e9 / link_ab.zpl_window_ns)
+    assert link.dark_rate_hz * link.zpl_window_ns * 1e-9 == 1.0
 
 
 def test_correlations_z_basis(link_ab):
