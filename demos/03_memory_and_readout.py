@@ -32,12 +32,7 @@ print(
 
 print("== Basis-alternating repetitive readout ==")
 for node in ("bob", "charlie"):
-    pars = sn.ReadoutParams(
-        comm_fidelities=params.COMM_READOUT[node],
-        memory_effective=params.MEMORY_READOUT_EFFECTIVE[node],
-        **params.BAR_PARAMS[node],
-    )
-    fid, acc = sn.bar_model_curves(pars, 5)
+    fid, acc = sn.bar_model_curves(params.readout_params(node), 5)
     print(f"{node}: optical readout fidelities {params.COMM_READOUT[node]}")
     print(f"{'reps':>6} {'fidelity':>9} {'accepted':>9}")
     for k, (f, a) in enumerate(zip(fid, acc), start=1):
@@ -47,13 +42,9 @@ for node in ("bob", "charlie"):
 print("Two repetitions already push the average infidelity below 1% while")
 print("keeping close to 90% of the patterns; more repetitions mostly cost rate.")
 
-print("\n== Sampled readout vs the exact enumeration ==")
+print("\n== Sampled readout vs the exact model ==")
 rng = np.random.default_rng(42)
-pars = sn.ReadoutParams(
-    comm_fidelities=params.COMM_READOUT["bob"],
-    memory_effective=params.MEMORY_READOUT_EFFECTIVE["bob"],
-    **params.BAR_PARAMS["bob"],
-)
+pars = params.readout_params("bob")
 n = 20000
 hits = kept = 0
 for i in range(n):
@@ -64,4 +55,4 @@ for i in range(n):
         hits += res.assigned == m0
 fid, acc = sn.bar_model_curves(pars, 2)
 print(f"sampled  : fidelity {hits / kept:.4f}, accepted {kept / n:.4f}  ({n} shots)")
-print(f"enumerated: fidelity {fid[1]:.4f}, accepted {acc[1]:.4f}")
+print(f"exact    : fidelity {fid[1]:.4f}, accepted {acc[1]:.4f}")

@@ -24,6 +24,7 @@ import numpy as np
 
 from . import __version__, params as defaults, photonics, protocol
 from .hilbert import CARDINAL_STATES
+from .spin_noise import DecayFit, bar_model_curves
 
 OUTPUT_KINDS = (
     "fidelities",
@@ -451,23 +452,14 @@ def correlation_tables(which: str = "AB", window_ns: float | None = None) -> dic
 
 
 def bar_curve_tables() -> dict:
-    from .spin_noise import ReadoutParams, bar_model_curves
-
     out = {}
     for node in ("bob", "charlie"):
-        pars = ReadoutParams(
-            comm_fidelities=defaults.COMM_READOUT[node],
-            memory_effective=defaults.MEMORY_READOUT_EFFECTIVE[node],
-            **defaults.BAR_PARAMS[node],
-        )
-        fid, acc = bar_model_curves(pars, 5)
+        fid, acc = bar_model_curves(defaults.readout_params(node), 5)
         out[node] = {"fidelity": fid.tolist(), "accepted_fraction": acc.tolist()}
     return out
 
 
 def memory_curve_tables(points: int = 20) -> dict:
-    from .spin_noise import DecayFit
-
     out = {}
     grid = np.linspace(0, 6000, points)
     for name, fit in defaults.MEMORY_FITS.items():

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from . import emitter, photonics
+from . import emitter, photonics, spin_noise
 
 LIFETIME_NS = 12.0  # excited-state lifetime (calibration input)
 GRID = emitter.TimeGrid(horizon=200.0)
@@ -121,13 +121,18 @@ def build_link(cfg: LinkConfig, window_ns: float | None = None) -> photonics.Lin
     return _build_link(cfg, cfg.window_ns if window_ns is None else window_ns)
 
 
+def _ns(window: float) -> str:
+    """A window length that reads back as the same float: 15.0000001, 12, 7.5."""
+    return str(float(window)).removesuffix(".0")
+
+
 @lru_cache(maxsize=_LINKS_KEPT)
 def _build_link(cfg: LinkConfig, window: float) -> photonics.LinkParams:
     table = dict(cfg.visibility_by_window)
     if table and window not in table:
         raise photonics.PhotonicsError(
-            f"link {cfg.name}: no visibility calibrated for a {window:g} ns window"
-            f" (have {', '.join(f'{w:g}' for w in table)} ns)"
+            f"link {cfg.name}: no visibility calibrated for a {_ns(window)} ns window"
+            f" (have {', '.join(_ns(w) for w in table)} ns)"
         )
     vis = table.get(window, cfg.visibility)
     nodes = [
@@ -223,6 +228,16 @@ BAR_PARAMS = {
     "bob": {"map_error": 0.02, "flip_pre": 0.005, "flip_post": 0.005},
     "charlie": {"map_error": 0.02, "flip_pre": 0.015, "flip_post": 0.005},
 }
+
+
+def readout_params(node: str) -> spin_noise.ReadoutParams:
+    """The calibrated readout model of node "bob" or "charlie"."""
+    return spin_noise.ReadoutParams(
+        comm_fidelities=COMM_READOUT[node],
+        memory_effective=MEMORY_READOUT_EFFECTIVE[node],
+        **BAR_PARAMS[node],
+    )
+
 
 BAR_CONSISTENT_FRACTION = 0.88
 TIMEOUT_ATTEMPTS = 1000

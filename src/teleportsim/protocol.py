@@ -50,7 +50,6 @@ from .hilbert import (
 from .photonics import HeraldedLink, LinkParams, build_heralded
 from .spin_noise import (
     DecayFit,
-    ReadoutParams,
     decoupling_channel,
     decoupling_weights,
     dephasing_from_factor,
@@ -312,14 +311,7 @@ def make_config(
     ab = defaults.build_link(ab_cfg, window_ns=window_ns)
     bc = defaults.build_link(bc_cfg, window_ns=window_ns)
 
-    readout = {
-        node: ReadoutParams(
-            comm_fidelities=defaults.COMM_READOUT[node],
-            memory_effective=defaults.MEMORY_READOUT_EFFECTIVE[node],
-            **defaults.BAR_PARAMS[node],
-        )
-        for node in ("bob", "charlie")
-    }
+    readout = {node: defaults.readout_params(node) for node in ("bob", "charlie")}
     mem_key = "attempts_decoupled" if improved_memory else "attempts_bare"
     mem = defaults.MEMORY_FITS[mem_key]
     memory_fit = DecayFit(mem["amplitude"], mem["scale"], mem["stretch"])

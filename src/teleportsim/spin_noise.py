@@ -148,6 +148,8 @@ class ReadoutParams:
     memory_effective: tuple[float, float] = (1.0, 1.0)
 
     def __post_init__(self) -> None:
+        if np.shape(self.comm_fidelities) != (2,) or np.shape(self.memory_effective) != (2,):
+            raise SpinNoiseError("comm_fidelities and memory_effective must be pairs")
         vals = (*self.comm_fidelities, self.map_error, self.flip_pre, self.flip_post,
                 *self.memory_effective)
         if any(not 0.0 <= v <= 1.0 for v in vals):
@@ -203,20 +205,22 @@ def bar_readout(
     return BarResult(assigned, tuple(pattern), consistent)
 
 
-def _bar_block_distribution(params: ReadoutParams, m: int, block: int) -> list[tuple[float, int, int]]:
-    """(probability, outcome bit, post-block memory) for one readout block."""
+def _flip(p: float) -> np.ndarray:
+    return np.array([[1.0 - p, p], [p, 1.0 - p]])
+
+
+def _block_matrix(params: ReadoutParams, block: int) -> np.ndarray:
+    """T[m, bit, m']: probability of outcome bit and memory m' after block from memory m.
+
+    A block is a memory pre-flip, the mapping (with its error) onto the
+    communication qubit, the optical readout and a memory post-flip.  Even
+    blocks map memory |1> to the bright outcome, so their rows swap.
+    """
     f0, f1 = params.comm_fidelities
-    out = []
-    for pre_flip, p_pre in ((0, 1 - params.flip_pre), (1, params.flip_pre)):
-        m1 = m ^ pre_flip
-        comm_ideal = m1 if block % 2 == 1 else 1 - m1
-        for map_flip, p_map in ((0, 1 - params.map_error), (1, params.map_error)):
-            comm = comm_ideal ^ map_flip
-            p_correct = f0 if comm == 0 else f1
-            for bit, p_bit in ((comm, p_correct), (1 - comm, 1 - p_correct)):
-                for post_flip, p_post in ((0, 1 - params.flip_post), (1, params.flip_post)):
-                    out.append((p_pre * p_map * p_bit * p_post, bit, m1 ^ post_flip))
-    return out
+    r = _flip(params.map_error) @ np.array([[f0, 1.0 - f0], [1.0 - f1, f1]])
+    if block % 2 == 0:
+        r = r[::-1]
+    return np.einsum("mb,bo,bn->mon", _flip(params.flip_pre), r, _flip(params.flip_post))
 
 
 def bar_model_curves(
@@ -224,50 +228,32 @@ def bar_model_curves(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Exact readout fidelity and accepted fraction versus repetition count.
 
-    Enumerates every outcome/flip path (no sampling), for an unbiased 50/50
-    memory input.  Fidelity is P(assignment correct | pattern consistent).
+    A forward pass over state[true m0, assigned a, memory m] for an unbiased
+    50/50 memory input: block 1 assigns, each later block keeps only the mass
+    whose outcome is consistent with the assignment.  Fidelity is
+    P(assignment correct | pattern consistent).
     """
-    if max_reps > 5:
-        raise SpinNoiseError("repetition counts above 5 are not supported")
+    if not 1 <= max_reps <= 5:
+        raise SpinNoiseError(f"repetition count {max_reps} outside 1..5")
     fidelities = np.zeros(max_reps)
     accepted = np.zeros(max_reps)
+    state = 0.5 * _block_matrix(params, 1)
     for reps in range(1, max_reps + 1):
-        p_ok = 0.0
-        p_acc = 0.0
-        for m0 in (0, 1):
-            # paths: (prob, memory, assigned, consistent)
-            paths = [(0.5, m0, None, True)]
-            for block in range(1, reps + 1):
-                new = []
-                for prob, m, assigned, cons in paths:
-                    for p, bit, m_next in _bar_block_distribution(params, m, block):
-                        if p == 0.0:
-                            continue
-                        if block == 1:
-                            new.append((prob * p, m_next, bit, True))
-                        else:
-                            ok = cons and bit == _expected_bit(assigned, block)
-                            new.append((prob * p, m_next, assigned, ok))
-                paths = new
-            for prob, _m, assigned, cons in paths:
-                if cons:
-                    p_acc += prob
-                    if assigned == m0:
-                        p_ok += prob
-        fidelities[reps - 1] = p_ok / p_acc if p_acc > 0 else 0.0
+        if reps > 1:
+            t = _block_matrix(params, reps)
+            state = np.stack(
+                [state[:, a] @ t[:, _expected_bit(a, reps)] for a in (0, 1)], axis=1
+            )
+        p_acc = state.sum()
+        fidelities[reps - 1] = np.trace(state.sum(axis=2)) / p_acc if p_acc > 0 else 0.0
         accepted[reps - 1] = p_acc
     return fidelities, accepted
 
 
 def single_readout_fidelities(params: ReadoutParams) -> tuple[float, float]:
     """Per-state assignment fidelities of the first readout block alone."""
-    out = []
-    for m0 in (0, 1):
-        p_correct = sum(
-            p for p, bit, _m in _bar_block_distribution(params, m0, 1) if bit == m0
-        )
-        out.append(p_correct)
-    return (out[0], out[1])
+    p = _block_matrix(params, 1).sum(axis=2)
+    return (float(p[0, 0]), float(p[1, 1]))
 
 
 # First column maps |0> to the named cardinal state.

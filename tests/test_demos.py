@@ -1,4 +1,4 @@
-"""Smoke test: the emitter and link demos run to completion."""
+"""Smoke test: the emitter, link, readout and rate demos run to completion."""
 
 import os
 import subprocess
@@ -11,7 +11,13 @@ ROOT = Path(__file__).resolve().parents[1]
 
 
 @pytest.mark.parametrize(
-    "demo", ["01_photon_emission.py", "02_heralded_link.py", "05_windows_ladder_rates.py"]
+    "demo",
+    [
+        "01_photon_emission.py",
+        "02_heralded_link.py",
+        "03_memory_and_readout.py",
+        "05_windows_ladder_rates.py",
+    ],
 )
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ)

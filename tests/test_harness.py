@@ -1,3 +1,4 @@
+import csv
 import json
 import subprocess
 import sys
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from teleportsim import cli, harness, protocol
+from teleportsim import cli, harness, params, protocol
+from teleportsim import spin_noise as sn
 
 ROOT = Path(__file__).resolve().parents[1]
 SCENARIOS = ROOT / "src" / "teleportsim" / "scenarios"
@@ -129,6 +131,32 @@ def test_run_scenario_summary_contents(tmp_path):
     effective = tmp_path / "experiment-conditional.effective.cfg"
     back = harness.Scenario.from_values(harness.read_config_text(effective.read_text()))
     assert back == report.scenario
+
+
+def test_link_correlations_bar_and_memory_curves(tmp_path):
+    # The readout and storage curves of the link-correlations scenario: one
+    # row per node and repetition count at the model's values, one per
+    # memory sequence and attempt count, and a rerun writes the same bytes.
+    src = SCENARIOS / "link-correlations.cfg"
+    r1 = harness.run_scenario(src, tmp_path / "one")
+    r2 = harness.run_scenario(src, tmp_path / "two")
+    assert sorted(f.name for f in r1.files) == sorted(f.name for f in r2.files)
+    for f1, f2 in zip(sorted(r1.files), sorted(r2.files)):
+        assert f1.read_bytes() == f2.read_bytes(), f1.name
+    with open(tmp_path / "one" / "link-correlations.bar_curves.csv", newline="") as fh:
+        bar_rows = list(csv.reader(fh))
+    assert bar_rows[0] == ["node", "repetitions", "fidelity", "accepted_fraction"]
+    expected = []
+    for node in ("bob", "charlie"):
+        fid, acc = sn.bar_model_curves(params.readout_params(node), 5)
+        for k, (f, a) in enumerate(zip(fid, acc), 1):
+            expected.append([node, str(k), f"{f:.6f}", f"{a:.6f}"])
+    assert bar_rows[1:] == expected
+    with open(tmp_path / "one" / "link-correlations.memory_curves.csv", newline="") as fh:
+        memory_rows = list(csv.reader(fh))
+    assert memory_rows[0] == ["sequence", "attempts", "bloch_length"]
+    assert len(memory_rows) - 1 == len(params.MEMORY_FITS) * 20 == 80
+    assert {row[0] for row in memory_rows[1:]} == set(params.MEMORY_FITS)
 
 
 def test_noiseless_scenario(tmp_path):

@@ -488,6 +488,10 @@ def test_uncalibrated_window_rejected():
     # falling back to the reference window's visibility.
     with pytest.raises(photonics.PhotonicsError, match="12 ns"):
         params.build_link(params.LINK_AB, window_ns=12.0)
+    # The message names the window as given, not rounded onto a calibrated one.
+    message = r"a 15\.0000001 ns window \(have 15, 10, 7\.5 ns\)"
+    with pytest.raises(photonics.PhotonicsError, match=message):
+        params.build_link(params.LINK_AB, window_ns=15.0000001)
     # An empty table keeps the link's single visibility at every window.
     ideal = params.ideal_link_config()
     assert params.build_link(ideal, window_ns=12.0).visibility == ideal.visibility

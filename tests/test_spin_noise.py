@@ -8,6 +8,8 @@ from hypothesis import strategies as st
 from teleportsim import hilbert as hb
 from teleportsim import params, spin_noise as sn
 
+from .oracles import bar_paths
+
 MEM_FIT = sn.DecayFit(**params.MEMORY_FITS["attempts_decoupled"], offset=0.0)
 MEM_BARE = sn.DecayFit(**params.MEMORY_FITS["attempts_bare"], offset=0.0)
 
@@ -15,17 +17,6 @@ MEM_BARE = sn.DecayFit(**params.MEMORY_FITS["attempts_bare"], offset=0.0)
 def _fit(node, family):
     d = params.DECOUPLING_FITS[node][family]
     return sn.DecayFit(d["amplitude"], d["scale"], d["stretch"], offset=0.5)
-
-
-def _bob_readout():
-    bar = params.BAR_PARAMS["bob"]
-    return sn.ReadoutParams(
-        comm_fidelities=params.COMM_READOUT["bob"],
-        map_error=bar["map_error"],
-        flip_pre=bar["flip_pre"],
-        flip_post=bar["flip_post"],
-        memory_effective=params.MEMORY_READOUT_EFFECTIVE["bob"],
-    )
 
 
 def test_memory_dephasing_identity_at_zero():
@@ -191,16 +182,16 @@ def test_bar_monotonicity():
     # Double-flip paths can revive consistent-but-wrong patterns at high
     # repetition counts; the dip sits at the 1e-5 level, far below anything
     # observable, so monotonicity is asserted at that tolerance.
-    f, acc = sn.bar_model_curves(_bob_readout(), 5)
+    f, acc = sn.bar_model_curves(params.readout_params("bob"), 5)
     assert np.all(np.diff(f) >= -2e-5)
     assert np.all(np.diff(acc) <= 1e-12)
 
 
 def test_bar_matches_sampling():
-    # Exact enumeration equals the sampled readout statistics within three
+    # The exact model equals the sampled readout statistics within three
     # standard errors at 1e5 shots.
     rng = np.random.default_rng(11)
-    pars = _bob_readout()
+    pars = params.readout_params("bob")
     f, acc = sn.bar_model_curves(pars, 2)
     n = 100_000
     ok = cons = 0
@@ -218,10 +209,59 @@ def test_bar_matches_sampling():
 
 
 def test_bar_rejects_bad_reps():
+    bob = params.readout_params("bob")
+    for max_reps in (6, 0, -1):
+        with pytest.raises(sn.SpinNoiseError, match="repetition count"):
+            sn.bar_model_curves(bob, max_reps)
     with pytest.raises(sn.SpinNoiseError):
-        sn.bar_model_curves(_bob_readout(), 6)
-    with pytest.raises(sn.SpinNoiseError):
-        sn.bar_readout(hb.qubit("m", hb.KET0), 0, _bob_readout(), np.random.default_rng(0))
+        sn.bar_readout(hb.qubit("m", hb.KET0), 0, bob, np.random.default_rng(0))
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [
+        {"comm_fidelities": (0.9,)},
+        {"comm_fidelities": (0.9, 0.9, 0.9)},
+        {"comm_fidelities": 0.9},
+        {"comm_fidelities": (0.9, 0.9), "memory_effective": (0.99,)},
+        {"comm_fidelities": (0.9, 0.9), "memory_effective": ()},
+    ],
+)
+def test_readout_params_need_pairs(fields):
+    with pytest.raises(sn.SpinNoiseError, match="pairs"):
+        sn.ReadoutParams(**fields)
+
+
+def _assert_matches_paths(r, reps):
+    # The forward pass equals the 16**reps path enumeration, and the first
+    # block gives the single-readout fidelities.
+    f, acc = sn.bar_model_curves(r, reps)
+    f_ref, acc_ref = bar_paths.enumerated_curves(r, reps)
+    assert np.max(np.abs(f - f_ref)) <= 1e-12
+    assert np.max(np.abs(acc - acc_ref)) <= 1e-12
+    single = np.subtract(sn.single_readout_fidelities(r), bar_paths.first_block_fidelities(r))
+    assert np.max(np.abs(single)) <= 1e-15
+
+
+@pytest.mark.parametrize("node", ["bob", "charlie"])
+def test_bar_model_matches_path_enumeration(node):
+    _assert_matches_paths(params.readout_params(node), 4)
+
+
+# Probabilities of 0, 1 or at least 1e-6, so that no path product underflows.
+_PROB = st.one_of(st.just(0.0), st.just(1.0), st.floats(1e-6, 1.0))
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    f0=_PROB, f1=_PROB, map_error=_PROB, flip_pre=_PROB, flip_post=_PROB,
+    reps=st.integers(1, 3),
+)
+def test_bar_model_matches_path_enumeration_property(f0, f1, map_error, flip_pre, flip_post, reps):
+    r = sn.ReadoutParams(
+        comm_fidelities=(f0, f1), map_error=map_error, flip_pre=flip_pre, flip_post=flip_post
+    )
+    _assert_matches_paths(r, reps)
 
 
 def test_prepare_input_state_ideal():
