@@ -37,6 +37,6 @@ for window in (15.0, 10.0, 7.5):
     wp = emitter.window_probabilities(sol, (1.5, window), (0.0, 190.0))
     print(
         f"window {window:>4.1f} ns: single photon accepted {wp.p_dz1:.3f},"
-        f" both of a pair {wp.p_dz2:.3f}, side-band during/after"
+        f" both of a pair {wp.zz[0, 0]:.3f}, side-band during/after"
         f" {wp.p_db1_dur:.3f}/{wp.p_db1_aft:.3f}"
     )

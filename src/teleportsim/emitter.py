@@ -280,14 +280,6 @@ class WindowProbabilities:
     def p_db1(self) -> float:
         return self.p_db1_dur + self.p_db1_aft
 
-    @property
-    def p_dz2(self) -> float:
-        return float(self.zz[0, 0])
-
-    @property
-    def p_dz3(self) -> float:
-        return float(self.zz[0, 1] + self.zz[1, 0])
-
     def validate(self) -> None:
         tables = (self.zz, self.bb, self.zb, self.bz)
         singles = [self.p_dz1, self.p_db1_dur, self.p_db1_aft, self.p_db1]

@@ -1,12 +1,15 @@
 """Heralded two-node entanglement through a central beam splitter.
 
-Each node's post-pulse spin-photon state is accumulated per record of what
-happened to every emitted photon: resonant photons either reach the central
-station inside the detection window (a coherent mode kept in the state) or
-are lost; side-band photons either fire the local side-band detector (a
-classical click with a during/after-pulse epoch tag) or are lost.  Amplitudes
-with different loss/click records are orthogonal after tracing the
-environment.
+Each emitted photon falls in one of five time classes (resonant inside or
+outside the detection window, side-band during or after the pulse or outside
+its window) and meets one fate there: a resonant photon in the window is kept
+(it reaches the central station, a coherent mode of the state) or lost, a
+side-band photon in its window fires the local side-band detector (a
+classical click tagged with its epoch) or is lost, and a photon outside is
+simply out.  One fixed table of these per-photon fates (``_FATES``) lists
+every outcome of up to two photons; a node only supplies the chances.  An
+outcome's environment record is its non-kept fates, and amplitudes with
+different records are orthogonal after tracing the environment.
 
 The herald decision reads only two things from a node: the photon
 configuration it sends to the beam splitter and its set of side-band flag
@@ -30,7 +33,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import cached_property
-from itertools import product
 
 import numpy as np
 
@@ -112,147 +114,100 @@ class LinkParams:
         )
 
 
+# Each photon time class and its fates as (fate, chance), the chance an index
+# into (1, eta_zpl, 1 - eta_zpl, eta_psb, 1 - eta_psb).  Every fate but
+# "kept" stays in the environment; lost side-band photons keep their epoch,
+# since the during/after temporal modes are orthogonal.
+_FATES = (
+    (("kept", 1), ("zpl lost", 2)),  # resonant, inside the detection window
+    (("zpl out", 0),),  # resonant, outside it
+    (("dur", 3), ("dur lost", 4)),  # side-band, during the pulse
+    (("aft", 3), ("aft lost", 4)),  # side-band, after the pulse
+    (("psb out", 0),),  # side-band, outside its window
+)
+_CLICKS = ("dur", "aft")
+
+
+def _outcome_table() -> tuple:
+    """Every emission outcome of a node: a source and one fate per photon.
+
+    The sources, in ``branch_emission``'s order, are the dark spin |1>, the
+    bright vacuum, one photon per time class and two photons per ordered
+    class pair; summing over ordered pairs and fates merges the two emission
+    orders into the bosonic sqrt(C(2, k)) amplitudes.  A record is the sorted
+    non-kept fates, so each (record, spin, kept n) entry has one source.
+
+    Returns per outcome its source, two fate chances (unit for no photon)
+    and flat (record, spin, n) entry; the flag classes in sort order; the
+    class x record membership; and each record's click count.
+    """
+    fates = [(c, fate, q) for c, options in enumerate(_FATES) for fate, q in options]
+    k = len(_FATES)
+    outcomes = [(0, (), 1), (1, (), 0)]  # (source, photon fates, spin)
+    outcomes += [(2 + c, (f,), 0) for f, (c, _, _) in enumerate(fates)]
+    outcomes += [
+        (2 + k + k * c1 + c2, (f1, f2), 0)
+        for f1, (c1, _, _) in enumerate(fates)
+        for f2, (c2, _, _) in enumerate(fates)
+    ]
+    keys = []
+    for _, fs, spin in outcomes:
+        record = tuple(sorted(fates[f][1] for f in fs if fates[f][1] != "kept"))
+        keys.append((record, spin, len(fs) - len(record)))
+    records = sorted({record for record, _, _ in keys})
+    row = {record: r for r, record in enumerate(records)}
+    flags = [frozenset(f for f in record if f in _CLICKS) for record in records]
+    classes = sorted(set(flags), key=sorted)
+    return (
+        np.array([src for src, _, _ in outcomes]),
+        np.array([[fates[f][2] for f in fs] + [0] * (2 - len(fs)) for _, fs, _ in outcomes]),
+        np.array([6 * row[record] + 3 * spin + n for record, spin, n in keys]),
+        classes,
+        np.array([[f == c for f in flags] for c in classes], dtype=float),
+        np.array([sum(f in _CLICKS for f in record) for record in records]),
+    )
+
+
+_SOURCE, _CHANCE, _ENTRY, _CLASSES, _MEMBERS, _RECORD_CLICKS = _outcome_table()
+
+
 def branch_emission(node: NodeOptics) -> tuple[list[frozenset], np.ndarray]:
     """One node's post-pulse spin x kept-mode state, summed per side-band flag class.
 
-    Amplitudes are accumulated per environment record (resonant photons
-    outside the window or lost, side-band photons outside the window, lost
-    in-window side-band photons by epoch, and detected side-band epochs),
-    since only amplitudes that share a record add coherently; lost
-    side-band photons keep their epoch because the during/after temporal
-    modes are orthogonal.  The records are then summed per flag class
-    (``frozenset`` of detected side-band epochs).
+    The node fills in the chances of the fixed outcome table built from
+    ``_FATES``: each source's chance (bright-state population, photon-number
+    probability, resonant fraction and window tables) times the chance of
+    each photon's fate.  The chances are summed per (environment record,
+    spin, kept-photon number), and their square roots are the amplitudes:
+    coherent within a record, orthogonal across records.  A rounding-level
+    negative chance counts as zero.  The records are then summed per flag
+    class (``frozenset`` of detected side-band epochs); classes without
+    weight are left out.
 
     Returns the classes and their densities rho[class, s, n, s', n'] over
     spin (|0>, |1>) and detected resonant-photon number n <= 2.
     """
-    em = node.emission
-    wp = node.windows
+    em, wp = node.emission, node.windows
     a, pz = node.alpha, node.p_zpl
-    ez, eb = node.eta_zpl, node.eta_psb
-    acc: dict[tuple, np.ndarray] = {}
-
-    def add(key: tuple, spin: int, n: int, amp: float) -> None:
-        if amp == 0.0:
-            return
-        vec = acc.setdefault(key, np.zeros((2, 3), dtype=complex))
-        vec[spin, n] += amp
-
-    def key(z_out=0, z_lost=0, b_out=0, b_lost=(), epochs=()) -> tuple:
-        return (z_out, z_lost, b_out, tuple(sorted(b_lost)), tuple(sorted(epochs)))
-
-    # No emission: spin |1> (dark state) and the alpha * P0 component share
-    # the vacuum environment and stay coherent.
-    add(key(), 1, 0, math.sqrt(1.0 - a))
-    add(key(), 0, 0, math.sqrt(a * em.p0))
-
-    # Exactly one photon emitted.
-    one = a * em.p1
-    add(key(), 0, 1, math.sqrt(one * pz * wp.p_dz1 * ez))
-    add(key(z_lost=1), 0, 0, math.sqrt(one * pz * wp.p_dz1 * (1.0 - ez)))
-    add(key(z_out=1), 0, 0, math.sqrt(one * pz * (1.0 - wp.p_dz1)))
-    for epoch, p_e in (("dur", wp.p_db1_dur), ("aft", wp.p_db1_aft)):
-        add(key(epochs=(epoch,)), 0, 0, math.sqrt(one * (1.0 - pz) * p_e * eb))
-        add(key(b_lost=(epoch,)), 0, 0, math.sqrt(one * (1.0 - pz) * p_e * (1.0 - eb)))
-    add(key(b_out=1), 0, 0, math.sqrt(one * (1.0 - pz) * (1.0 - wp.p_db1)))
-
-    # Two photons emitted.
-    two = a * em.p2
-
-    # Both resonant.
-    zz = two * pz * pz
-    add(key(), 0, 2, math.sqrt(zz * wp.p_dz2) * ez)
-    add(key(z_lost=1), 0, 1, math.sqrt(zz * wp.p_dz2) * math.sqrt(2.0 * ez * (1.0 - ez)))
-    add(key(z_lost=2), 0, 0, math.sqrt(zz * wp.p_dz2) * (1.0 - ez))
-    add(key(z_out=1), 0, 1, math.sqrt(zz * wp.p_dz3 * ez))
-    add(key(z_out=1, z_lost=1), 0, 0, math.sqrt(zz * wp.p_dz3 * (1.0 - ez)))
-    add(key(z_out=2), 0, 0, math.sqrt(zz * max(1.0 - wp.p_dz2 - wp.p_dz3, 0.0)))
-
-    # Both side-band; the two photons form an unordered class pair, so merge
-    # the (c1, c2) and (c2, c1) emission orders before taking amplitudes.
-    bb = two * (1.0 - pz) ** 2
-    classes = ("dur", "aft", "out")
-    for i1, c1 in enumerate(classes):
-        for i2, c2 in enumerate(classes[i1:], start=i1):
-            p_cls = bb * (wp.bb[i1, i2] if i1 == i2 else wp.bb[i1, i2] + wp.bb[i2, i1])
-            if p_cls <= 0.0:
-                continue
-            in1, in2 = c1 != "out", c2 != "out"
-            if in1 and in2:
-                add(key(epochs=(c1, c2)), 0, 0, math.sqrt(p_cls) * eb)
-                if c1 == c2:
-                    # Same temporal class: bosonic one-of-two detection amplitude.
-                    add(
-                        key(b_lost=(c1,), epochs=(c1,)),
-                        0,
-                        0,
-                        math.sqrt(p_cls) * math.sqrt(2.0 * eb * (1.0 - eb)),
-                    )
-                else:
-                    add(key(b_lost=(c2,), epochs=(c1,)), 0, 0, math.sqrt(p_cls * eb * (1.0 - eb)))
-                    add(key(b_lost=(c1,), epochs=(c2,)), 0, 0, math.sqrt(p_cls * eb * (1.0 - eb)))
-                add(key(b_lost=(c1, c2)), 0, 0, math.sqrt(p_cls) * (1.0 - eb))
-            elif in1 or in2:
-                c = c1 if in1 else c2
-                add(key(b_out=1, epochs=(c,)), 0, 0, math.sqrt(p_cls * eb))
-                add(key(b_out=1, b_lost=(c,)), 0, 0, math.sqrt(p_cls * (1.0 - eb)))
-            else:
-                add(key(b_out=2), 0, 0, math.sqrt(p_cls))
-
-    # One resonant, one side-band; each emission order contributes half the
-    # class probability.
-    zb = two * 2.0 * pz * (1.0 - pz)
-    for zi, zc in enumerate(("in", "out")):
-        for bi, bc in enumerate(classes):
-            p_cls = zb * 0.5 * (wp.zb[zi, bi] + wp.bz[bi, zi])
-            if p_cls <= 0.0:
-                continue
-            z_fates = (
-                [(math.sqrt(ez), dict(n=1)), (math.sqrt(1.0 - ez), dict(z_lost=1))]
-                if zc == "in"
-                else [(1.0, dict(z_out=1))]
-            )
-            b_fates = (
-                [
-                    (math.sqrt(eb), dict(epochs=(bc,))),
-                    (math.sqrt(1.0 - eb), dict(b_lost=(bc,))),
-                ]
-                if bc != "out"
-                else [(1.0, dict(b_out=1))]
-            )
-            for (za, zf), (ba, bf) in product(z_fates, b_fates):
-                n = zf.get("n", 0)
-                add(
-                    key(
-                        z_out=zf.get("z_out", 0),
-                        z_lost=zf.get("z_lost", 0),
-                        b_out=bf.get("b_out", 0),
-                        b_lost=bf.get("b_lost", ()),
-                        epochs=bf.get("epochs", ()),
-                    ),
-                    0,
-                    n,
-                    math.sqrt(p_cls) * za * ba,
-                )
-
-    groups: dict[frozenset, list[np.ndarray]] = {}
-    total = 0.0
-    for k, amps in sorted(acc.items()):
-        epochs = k[4]
-        total += float(np.sum(np.abs(amps) ** 2))
-        if epochs and np.any(np.abs(amps[1, :]) > 0):
-            raise PhotonicsError("side-band-flagged branch has spin-|1> amplitude")
-        if len(epochs) >= 2 and np.any(np.abs(amps[:, 1:]) > 0):
-            raise PhotonicsError("double side-band branch has resonant photon amplitude")
-        groups.setdefault(frozenset(epochs), []).append(amps)
-    if abs(total - 1.0) > 1e-9:
+    kind = np.array([pz, pz, 1.0 - pz, 1.0 - pz, 1.0 - pz])  # resonant or side-band
+    single = kind * [wp.p_dz1, 1.0 - wp.p_dz1, wp.p_db1_dur, wp.p_db1_aft, 1.0 - wp.p_db1]
+    pair = np.outer(kind, kind) * np.block([[wp.zz, wp.zb], [wp.bz, wp.bb]])
+    source = np.concatenate([[1.0 - a, a * em.p0], a * em.p1 * single, a * em.p2 * pair.ravel()])
+    fate = np.array([1.0, node.eta_zpl, 1.0 - node.eta_zpl, node.eta_psb, 1.0 - node.eta_psb])
+    outcome = source[_SOURCE] * fate[_CHANCE[:, 0]] * fate[_CHANCE[:, 1]]
+    chance = np.bincount(_ENTRY, outcome, minlength=6 * len(_RECORD_CLICKS))
+    chance = np.clip(chance, 0.0, None).reshape(-1, 2, 3)
+    total = float(chance.sum())
+    if not abs(total - 1.0) <= 1e-9:
         raise PhotonicsError(f"branch weights sum to {total}, not 1")
-    flags = sorted(groups, key=sorted)
-    dens = []
-    for c in flags:
-        amps = np.array(groups[c])
-        dens.append(np.einsum("bsn,btm->sntm", amps, amps.conj()))
-    return flags, np.array(dens)
+    amps = np.sqrt(chance)
+    if np.any(amps[_RECORD_CLICKS >= 1, 1]):
+        raise PhotonicsError("side-band-flagged branch has spin-|1> amplitude")
+    if np.any(amps[_RECORD_CLICKS >= 2, :, 1:]):
+        raise PhotonicsError("double side-band branch has resonant photon amplitude")
+    present = _MEMBERS @ np.any(amps, axis=(1, 2)) > 0
+    dens = np.einsum("cr,rsn,rtm->csntm", _MEMBERS[present], amps, amps)
+    return [c for c, p in zip(_CLASSES, present) if p], dens
 
 
 def detection_probability(node: NodeOptics) -> float:

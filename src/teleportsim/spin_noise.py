@@ -177,8 +177,8 @@ def bar_readout(
     blocks map |1>; the first block assigns the state and later blocks only
     check consistency.
     """
-    if reps < 1:
-        raise SpinNoiseError("need at least one readout block")
+    if isinstance(reps, bool) or not isinstance(reps, int) or reps < 1:
+        raise SpinNoiseError(f"repetition count {reps!r} is not a whole number of blocks >= 1")
     if memory.dims != (2,):
         raise SpinNoiseError("memory must be a single qubit")
     rho = memory.normalized().matrix
@@ -233,8 +233,8 @@ def bar_model_curves(
     whose outcome is consistent with the assignment.  Fidelity is
     P(assignment correct | pattern consistent).
     """
-    if not 1 <= max_reps <= 5:
-        raise SpinNoiseError(f"repetition count {max_reps} outside 1..5")
+    if isinstance(max_reps, bool) or not isinstance(max_reps, int) or not 1 <= max_reps <= 5:
+        raise SpinNoiseError(f"repetition count {max_reps!r} is not an integer in 1..5")
     fidelities = np.zeros(max_reps)
     accepted = np.zeros(max_reps)
     state = 0.5 * _block_matrix(params, 1)

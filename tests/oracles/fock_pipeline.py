@@ -76,10 +76,11 @@ def node_state(node: NodeOptics) -> dict[tuple, complex]:
                     (math.sqrt(1.0 - wp.p_dz1), (0, 1)),
                 ]
             else:
+                both_in, one_in = wp.zz[0, 0], wp.zz[0, 1] + wp.zz[1, 0]
                 z_parts = [
-                    (math.sqrt(wp.p_dz2), (2, 0)),
-                    (math.sqrt(wp.p_dz3), (1, 1)),
-                    (math.sqrt(max(1.0 - wp.p_dz2 - wp.p_dz3, 0.0)), (0, 2)),
+                    (math.sqrt(both_in), (2, 0)),
+                    (math.sqrt(one_in), (1, 1)),
+                    (math.sqrt(max(1.0 - both_in - one_in, 0.0)), (0, 2)),
                 ]
             # Window/epoch split for the side-band photons.
             if nb == 0:

@@ -161,9 +161,9 @@ def test_p2_monotone_in_duration_at_fixed_area(params, grid):
 def test_window_probabilities_limits(pi_emission):
     full = em.window_probabilities(pi_emission, (0.0, 199.0), (0.0, 199.0))
     assert full.p_dz1 == pytest.approx(1.0, abs=1e-6)
-    assert full.p_dz2 == pytest.approx(1.0, abs=1e-6)
+    assert full.zz[0, 0] == pytest.approx(1.0, abs=1e-6)
     zero = em.window_probabilities(pi_emission, (0.0, 0.0), (0.0, 199.0))
-    assert zero.p_dz1 == 0.0 and zero.p_dz2 == 0.0 and zero.p_dz3 == 0.0
+    assert zero.p_dz1 == 0.0 and zero.zz[0, 0] == 0.0 and zero.zz[0, 1] + zero.zz[1, 0] == 0.0
 
 
 def test_window_monotone_in_length(pi_emission):
@@ -180,7 +180,7 @@ def test_window_outside_horizon_rejected(pi_emission):
 def test_window_group_sums(pi_emission):
     wp = em.window_probabilities(pi_emission, (0.0, 15.0), (0.0, 199.0))
     wp.validate()
-    assert wp.p_dz2 + wp.p_dz3 <= 1.0 + 1e-9
+    assert wp.zz[0, 0] + wp.zz[0, 1] + wp.zz[1, 0] <= 1.0 + 1e-9
     assert wp.p_db1_dur + wp.p_db1_aft == pytest.approx(wp.p_db1)
 
 
@@ -330,5 +330,5 @@ def test_jump_oracle_window_statistics(params, grid):
     assert abs(p_win - wp.p_dz1) <= 3 * se + 2e-3
     double = ens.n_photons == 2
     both_in = float(np.mean((ens.t_first[double] < 15.0) & (ens.t_second[double] < 15.0)))
-    se2 = np.sqrt(wp.p_dz2 * (1 - wp.p_dz2) / double.sum())
-    assert abs(both_in - wp.p_dz2) <= 3 * se2 + 4e-3
+    se2 = np.sqrt(wp.zz[0, 0] * (1 - wp.zz[0, 0]) / double.sum())
+    assert abs(both_in - wp.zz[0, 0]) <= 3 * se2 + 4e-3

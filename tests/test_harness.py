@@ -539,3 +539,32 @@ def test_run_sends_the_inputs_through_once_per_output(tmp_path, capsys, monkeypa
     charlie = [shape[0] for shape in shapes if shape[-1] == 2]  # input qubits on the right
     assert sorted(charlie) == [6, 6, 6]
     capsys.readouterr()
+
+
+GOLDEN = ROOT / "tests" / "data" / "reports"
+
+
+def test_reports_match_golden_files(tmp_path, capsys):
+    # Every CSV report of the five analytic shipped scenarios, of the AB, BC
+    # and teleport budgets and of the ladder, byte for byte.  The JSON
+    # summaries hold unrounded floats and are left out, as is the slow Monte
+    # Carlo scenario.  A change that moves a report on purpose rewrites its
+    # file under tests/data/reports.
+    cond = str(SCENARIOS / "experiment-conditional.cfg")
+    names = (
+        "error-budget",
+        "experiment-conditional",
+        "experiment-unconditional",
+        "link-correlations",
+        "noiseless",
+    )
+    commands = [["run", str(SCENARIOS / f"{name}.cfg")] for name in names]
+    commands += [["budget", cond, "--link", link] for link in ("AB", "BC", "teleport")]
+    commands += [["ladder", cond]]
+    for argv in commands:
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0, argv
+    capsys.readouterr()
+    written = sorted(path.name for path in tmp_path.glob("*.csv"))
+    assert written == sorted(path.name for path in GOLDEN.glob("*.csv"))
+    for name in written:
+        assert (tmp_path / name).read_bytes() == (GOLDEN / name).read_bytes(), name

@@ -124,6 +124,57 @@ def test_branch_emission_lossless_single_photon():
     assert rho[1, 1].real == pytest.approx(0.3)  # spin |0>, one photon
 
 
+def test_branch_emission_clips_rounding_negative_window_entries(link_ab):
+    # validate() accepts entries down to -1e-9; such a chance counts as zero
+    # (it used to raise "math domain error" from the square root).  The
+    # both-in-window pair mass moves to both-out, so the table still sums to 1.
+    node = link_ab.node1
+    zz = node.windows.zz.copy()
+    zz[1, 1] += zz[0, 0] + 1e-12
+    zz[0, 0] = -1e-12
+    for windows in (replace(node.windows, p_db1_dur=-1e-12), replace(node.windows, zz=zz)):
+        windows.validate()
+        flags, dens = branch_emission(replace(node, windows=windows))
+        assert flags == branch_emission(node)[0]
+        assert np.einsum("xsnsn->", dens) == pytest.approx(1.0, abs=1e-9)
+        for rho in dens.reshape(len(flags), 6, 6):
+            assert np.allclose(rho, rho.conj().T, atol=0.0)
+            assert np.linalg.eigvalsh(rho).min() >= -1e-15
+
+
+def _oracle_densities(node: NodeOptics) -> dict:
+    """The Fock oracle's node state traced over its environment, per click set."""
+    envs: dict[tuple, np.ndarray] = {}
+    for (spin, kept, *env), amp in fock_pipeline.node_state(node).items():
+        envs.setdefault(tuple(env), np.zeros((2, 3), dtype=complex))[spin, kept] += amp
+    dens: dict[frozenset, np.ndarray] = {}
+    for env, vec in envs.items():
+        _, _, cdur, caft, *_ = env
+        flag = frozenset(e for e, n in (("dur", cdur), ("aft", caft)) if n)
+        dens[flag] = dens.get(flag, 0.0) + np.einsum("sn,tm->sntm", vec, vec.conj())
+    return dens
+
+
+def _assert_matches_oracle(node: NodeOptics) -> None:
+    flags, dens = branch_emission(node)
+    ref = _oracle_densities(node)
+    assert flags == sorted(ref, key=sorted)
+    for flag, rho in zip(flags, dens):
+        assert np.max(np.abs(rho - ref[flag])) <= 1e-12, flag
+
+
+def test_branch_emission_matches_fock_oracle(link_ab, link_bc):
+    for link in (link_ab, link_bc):
+        for node in (link.node1, link.node2, link.protocol_only.node1, link.protocol_only.node2):
+            _assert_matches_oracle(node)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_branch_emission_matches_fock_oracle_random(seed):
+    _assert_matches_oracle(_random_node(np.random.default_rng(seed)))
+
+
 def test_ideal_link_heralds_bell_state():
     link = params.build_link(params.ideal_link_config())
     hl = build_heralded(link)

@@ -210,11 +210,12 @@ def test_bar_matches_sampling():
 
 def test_bar_rejects_bad_reps():
     bob = params.readout_params("bob")
-    for max_reps in (6, 0, -1):
+    for max_reps in (6, 0, -1, 2.0, True, "2", None):
         with pytest.raises(sn.SpinNoiseError, match="repetition count"):
             sn.bar_model_curves(bob, max_reps)
-    with pytest.raises(sn.SpinNoiseError):
-        sn.bar_readout(hb.qubit("m", hb.KET0), 0, bob, np.random.default_rng(0))
+    for reps in (0, -1, 2.0, True, "2", None):
+        with pytest.raises(sn.SpinNoiseError, match="repetition count"):
+            sn.bar_readout(hb.qubit("m", hb.KET0), reps, bob, np.random.default_rng(0))
 
 
 @pytest.mark.parametrize(
