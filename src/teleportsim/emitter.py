@@ -13,13 +13,16 @@ fall while the drive is on (after the pulse |0> stays dark), and a fixed
 Gauss-Legendre rule per piece of the pulse, cut at the window edges, sums
 them.  That gives the probabilities P0/P1/P2 of emitting zero, one or two
 photons per attempt and the share of photons falling in each detection
-window, with no time grid.
+window, with no time grid.  The closed forms take an array of drive
+amplitudes as readily as one, so pulse calibration bisects P2 in batched
+passes: one pass evaluates the midpoints of the next few bisection levels.
 
 Time is in nanoseconds, rates in 1/ns.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -95,18 +98,32 @@ _GL_X, _GL_W = np.polynomial.legendre.leggauss(24)
 _PHASE_PER_PIECE = 8.0
 
 
-def _driven(omega: float, gamma: float, tau: np.ndarray | float) -> tuple[np.ndarray, np.ndarray]:
+def _driven(
+    omega: np.ndarray | float, gamma: float, tau: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray]:
     """Amplitudes on (|0>, |e>) of exp(A tau)|0> for A = [[0, -i om], [-i om, -gamma/2]].
 
     A = -gamma/4 + B with B^2 = -nu^2, nu = sqrt(om^2 - gamma^2/16), so
     exp(A tau) = exp(-gamma tau/4) (cos(nu tau) + B sin(nu tau)/nu); a complex
     nu covers the overdamped side, and at nu = 0 sin(nu tau)/nu is tau.
+    ``omega`` is one amplitude or an array of them broadcasting against tau;
+    om^2 is libm's pow, as Python's ``om**2``, at every shape.
     """
     tau = np.asarray(tau, dtype=float)
-    nu = np.sqrt(complex(omega**2 - gamma**2 / 16.0))
+    nu = np.sqrt(np.asarray(np.float_power(omega, 2) - gamma**2 / 16.0, dtype=complex))
     damp = np.exp(-0.25 * gamma * tau)
-    s = damp * (np.sin(nu * tau) / nu if nu else tau)  # damp * sin(nu tau) / nu
-    return damp * np.cos(nu * tau) + 0.25 * gamma * s, -1j * omega * s
+    phase = nu * tau
+    zero = nu == 0
+    s = damp * np.where(zero, tau, np.sin(phase) / np.where(zero, 1.0, nu))  # damp sin(nu tau)/nu
+    return damp * np.cos(phase) + 0.25 * gamma * s, -1j * omega * s
+
+
+def _check_guards(left: float, quadrature: float) -> None:
+    """The two 1e-6 guards of one amplitude's populations."""
+    if left > 1e-6:
+        raise EmitterError(f"excited population {left:.2e} left at the horizon exceeds 1e-6")
+    if quadrature > 1e-6:
+        raise EmitterError(f"first-emission quadrature residual {quadrature:.2e} exceeds 1e-6")
 
 
 @dataclass(frozen=True)
@@ -130,33 +147,66 @@ class EmissionSolution:
         if self.pulse.end_ns > self.horizon:
             raise EmitterError("pulse extends beyond the simulated horizon")
 
-    @property
-    def _pulse_cuts(self) -> np.ndarray:
-        """The pulse edges, with equal pieces between them short enough for the rule."""
-        p = self.pulse
-        pieces = max(int(np.ceil(p.omega_max * p.duration_ns / _PHASE_PER_PIECE)), 1)
-        return np.linspace(p.start_ns, p.end_ns, pieces + 1)
+    def _pulse_cuts(self, omega: np.ndarray | float) -> np.ndarray:
+        """The pulse edges, with equal pieces between them short enough for the rule.
 
-    def _first_photons(self, lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        Every amplitude in ``omega`` must need the same number of pieces.
+        """
+        p = self.pulse
+        pieces = {
+            max(math.ceil(om * p.duration_ns / _PHASE_PER_PIECE), 1)
+            for om in np.atleast_1d(omega).tolist()
+        }
+        if len(pieces) != 1:
+            raise EmitterError("amplitudes of one batch need different numbers of pulse pieces")
+        return np.linspace(p.start_ns, p.end_ns, pieces.pop() + 1)
+
+    def _first_photons(
+        self, lo: np.ndarray, hi: np.ndarray, omega: np.ndarray | float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Rule nodes t1 on each driven piece [lo, hi], and their weights times w1(t1).
 
-        w1 = gamma |<e|U(t1)|0>|^2 is the density of first emissions.
+        w1 = gamma |<e|U(t1)|0>|^2 is the density of first emissions at drive
+        amplitude ``omega`` (leading axes of an array broadcast in front).
         """
         half = 0.5 * (hi - lo)[:, None]
         t1 = 0.5 * (hi + lo)[:, None] + half * _GL_X
-        excited = _driven(self.pulse.omega_max, self.gamma, t1 - self.pulse.start_ns)[1]
+        excited = _driven(omega, self.gamma, t1 - self.pulse.start_ns)[1]
         return t1, half * _GL_W * self.gamma * np.abs(excited) ** 2
 
-    def _from_ground(self, t: np.ndarray, t0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    def _from_ground(
+        self, t: np.ndarray, t0: np.ndarray, omega: np.ndarray | float
+    ) -> tuple[np.ndarray, np.ndarray]:
         """|0> and |e> populations at t of the no-jump state, in |0> at t0 in the pulse.
 
         Their sum is S(t, t0), the chance of no photon in [t0, t]; at
         t <= t0 they are (1, 0).
         """
         end = self.pulse.end_ns
-        ground, excited = _driven(self.pulse.omega_max, self.gamma, np.clip(t, t0, end) - t0)
+        ground, excited = _driven(omega, self.gamma, np.clip(t, t0, end) - t0)
         decay = np.exp(-self.gamma * np.maximum(t - end, 0.0))
         return np.abs(ground) ** 2, np.abs(excited) ** 2 * decay
+
+    def _p2_and_guards(self, omega: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """P2 and both unchecked guard values of :meth:`populations` per amplitude.
+
+        ``omega`` is a 1-D array of amplitudes that need the same number of
+        pulse pieces; the pulse keeps this solution's start and duration.
+        The guard values are the excited population left at the horizon and
+        the quadrature residual.
+        """
+        cuts = self._pulse_cuts(omega)
+        rows = omega[:, None, None]
+        t1, first = self._first_photons(cuts[:-1], cuts[1:], rows)
+        ground, excited = self._from_ground(np.array(self.horizon), t1, rows)
+        p2 = np.sum(first * (1.0 - ground - excited), axis=(1, 2))
+        left = np.sum(first * excited, axis=(1, 2))
+        # The no-jump state from the pulse start, at the pulse end and at the horizon.
+        ends = np.array([cuts[-1], self.horizon])
+        ground, excited = self._from_ground(ends, cuts[0], omega[:, None])
+        left = excited[:, 1] + left
+        exact = 1.0 - (ground[:, 0] + excited[:, 0])
+        return p2, left, np.abs(np.sum(first, axis=(1, 2)) - exact)
 
     def populations(self) -> tuple[float, float]:
         """(P0, P2) of one excitation attempt; P1 = 1 - P0 - P2.
@@ -166,20 +216,15 @@ class EmissionSolution:
         the excited population left at T, and the rule's sum of w1 over the
         pulse against the exact emission probability 1 - |U(e)|0>|^2 there
         (the free decay after e is the same closed form on both sides), which
-        fails for a drive too fast for the rule.
+        fails for a drive too fast for the rule.  P2 and the guards are the
+        one-amplitude case of :meth:`_p2_and_guards`.
         """
-        cuts = self._pulse_cuts
-        t1, first = self._first_photons(cuts[:-1], cuts[1:])
-        ground, excited = self._from_ground(np.array(self.horizon), t1)
-        p2 = float(np.sum(first * (1.0 - ground - excited)))
-        p0, left = self._from_ground(np.array(self.horizon), cuts[0])
-        left = float(left + np.sum(first * excited))
-        if left > 1e-6:
-            raise EmitterError(f"excited population {left:.2e} left at the horizon exceeds 1e-6")
-        quadrature = abs(np.sum(first) - (1.0 - np.sum(self._from_ground(cuts[-1], cuts[0]))))
-        if quadrature > 1e-6:
-            raise EmitterError(f"first-emission quadrature residual {quadrature:.2e} exceeds 1e-6")
-        return float(p0), p2
+        omega = self.pulse.omega_max
+        p2, left, quadrature = self._p2_and_guards(np.array([omega]))
+        _check_guards(float(left[0]), float(quadrature[0]))
+        # P0 is not batched: calibration never reads it.
+        p0 = self._from_ground(np.array(self.horizon), self.pulse.start_ns, omega)[0]
+        return float(p0), float(p2[0])
 
     def cell_masses(self, edges: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """Photon masses over the cells between sorted ``edges`` inside [0, horizon].
@@ -191,16 +236,17 @@ class EmissionSolution:
         """
         pulse, horizon = self.pulse, self.horizon
         edges = np.clip(edges, 0.0, horizon)
-        cuts = np.unique(np.concatenate([edges, self._pulse_cuts, [horizon]]))
+        omega = pulse.omega_max
+        cuts = np.unique(np.concatenate([edges, self._pulse_cuts(omega), [horizon]]))
         lo, hi = cuts[:-1], cuts[1:]
         driven = (lo >= pulse.start_ns) & (hi <= pulse.end_ns)
-        t1, first = self._first_photons(lo[driven], hi[driven])
-        ground, excited = self._from_ground(cuts, t1[..., None])
+        t1, first = self._first_photons(lo[driven], hi[driven], omega)
+        ground, excited = self._from_ground(cuts, t1[..., None], omega)
         by_cut = first[..., None] * (1.0 - ground - excited)  # second photon by each cut
         single = np.zeros(len(lo))
         single[driven] = np.sum(first - by_cut[..., -1], axis=1)
         # First photons after the pulse: the decay of the no-jump |e> population.
-        no_jump = self._from_ground(cuts, pulse.start_ns)[1]
+        no_jump = self._from_ground(cuts, pulse.start_ns, omega)[1]
         after = lo >= pulse.end_ns
         single[after] = (no_jump[:-1] - no_jump[1:])[after]
         pair = np.zeros((len(lo), len(lo)))
@@ -286,8 +332,13 @@ class WindowProbabilities:
         values = np.concatenate([singles, *(t.ravel() for t in tables)])
         if not np.all((values >= -1e-9) & (values <= 1.0 + 1e-9)):
             raise EmitterError("window probability outside [0,1]")
-        if any(t.sum() > 1.0 + 1e-9 for t in tables):
+        sums = [float(t.sum()) for t in tables]
+        if any(total > 1.0 + 1e-9 for total in sums):
             raise EmitterError("two-photon window table sums above 1")
+        # Each table spreads the two-photon mass over its classes: all of it,
+        # or none when the node has none.
+        if not all(abs(total - 1.0) <= 1e-9 for total in sums) and any(t.any() for t in tables):
+            raise EmitterError(f"two-photon window tables sum to {sums}, not 1 (or all 0)")
 
 
 def window_probabilities(
@@ -350,6 +401,29 @@ def window_probabilities(
     return wp
 
 
+# Bisection levels evaluated per batched pass of calibrate_pulse (15
+# midpoints).  A pass costs mostly its fixed numpy overhead, and one more
+# amplitude only a few percent of that.  Over the reachable ranges of the
+# 5 and 6 ns templates a calibration takes 1 to 8 levels at tol 1e-3, so
+# two passes at most.
+_TREE_DEPTH = 4
+
+
+def _midpoint_tree(lo: float, hi: float, depth: int) -> list[float]:
+    """Midpoints of the next ``depth`` bisection levels of [lo, hi], heap-ordered.
+
+    Node j halves its interval; its children 2j + 1 and 2j + 2 halve the
+    lower and upper halves, with the bisection's own 0.5 * (lo + hi).
+    """
+    bounds, mids = [(lo, hi)], []
+    for a, b in bounds:
+        mid = 0.5 * (a + b)
+        mids.append(mid)
+        if 2 * len(mids) < 2**depth:
+            bounds += [(a, mid), (mid, b)]
+    return mids
+
+
 def calibrate_pulse(
     target_p2: float,
     template: PulseShape,
@@ -361,7 +435,14 @@ def calibrate_pulse(
 
     Bisects the amplitude with the pulse area constrained to [0.8 pi,
     1.2 pi] (the protocol wants near-maximal excitation); raises if the
-    target cannot be bracketed there.
+    target cannot be bracketed there.  The bisection is evaluated in
+    batched passes: one pass computes P2 at the midpoints of the next few
+    levels (``_midpoint_tree``), the first pass also at both bracket ends
+    and the pi-area amplitude, and a walk down that tree then makes the
+    usual steps (early exit within 0.2 tol, at most 60 halvings).  Only the
+    amplitudes the walk visits are read, and each of them must pass both
+    guards of :meth:`EmissionSolution.populations`.  Every amplitude in the
+    bracket is one pulse piece (at most 0.6 pi of Rabi phase).
     """
     horizon = (grid or TimeGrid()).horizon
     if not 0.0 <= target_p2 < 0.5:
@@ -371,32 +452,43 @@ def calibrate_pulse(
     def pulse_at(om: float) -> PulseShape:
         return PulseShape(template.kind, om, template.duration_ns, template.start_ns)
 
-    def p2_of(om: float) -> float:
-        return EmissionSolution(pulse_at(om), params.gamma, horizon).populations()[1]
-
     om_lo = 0.8 * np.pi / area_scale
     om_hi = 1.2 * np.pi / area_scale
-    p_lo, p_hi = p2_of(om_lo), p2_of(om_hi)
+    om_pi = np.pi / area_scale
+    sol = EmissionSolution(pulse_at(om_hi), params.gamma, horizon)
+    omegas = [om_lo, om_hi, om_pi, *_midpoint_tree(om_lo, om_hi, _TREE_DEPTH)]
+    values = sol._p2_and_guards(np.array(omegas))
+
+    def p2_at(i: int) -> float:
+        p2, left, quadrature = (v[i] for v in values)
+        _check_guards(float(left), float(quadrature))
+        return float(p2)
+
+    p_lo, p_hi = p2_at(0), p2_at(1)
     if target_p2 <= p_lo:
-        om_pi = np.pi / area_scale
-        if abs(p2_of(om_pi) - target_p2) <= tol:
+        if abs(p2_at(2) - target_p2) <= tol:
             return pulse_at(om_pi)
         raise EmitterError(
             f"target P2={target_p2} below reachable range [{p_lo:.4f}, {p_hi:.4f}]"
         )
     if target_p2 > p_hi:
         raise EmitterError(f"target P2={target_p2} above reachable range [{p_lo:.4f}, {p_hi:.4f}]")
-    for _ in range(60):
-        om_mid = 0.5 * (om_lo + om_hi)
-        p_mid = p2_of(om_mid)
-        if abs(p_mid - target_p2) < 0.2 * tol:
+    # Walk the tree: node j of the current pass is omegas[root + j], after
+    # the bracket ends and the pi-area amplitude in the first pass.
+    root, node = 3, 0
+    for step in range(61):
+        if root + node >= len(omegas):
+            omegas = _midpoint_tree(om_lo, om_hi, _TREE_DEPTH)
+            values = sol._p2_and_guards(np.array(omegas))
+            root, node = 0, 0
+        om_mid, p_mid = omegas[root + node], p2_at(root + node)
+        # After 60 halvings the amplitude is the midpoint of the last bracket.
+        if step == 60 or abs(p_mid - target_p2) < 0.2 * tol:
             break
         if p_mid < target_p2:
-            om_lo = om_mid
+            om_lo, node = om_mid, 2 * node + 2
         else:
-            om_hi = om_mid
-    pulse = pulse_at(0.5 * (om_lo + om_hi))
-    achieved = p2_of(pulse.omega_max)
-    if abs(achieved - target_p2) > tol:
-        raise EmitterError(f"calibration failed: P2={achieved:.5f} vs target {target_p2}")
-    return pulse
+            om_hi, node = om_mid, 2 * node + 1
+    if abs(p_mid - target_p2) > tol:
+        raise EmitterError(f"calibration failed: P2={p_mid:.5f} vs target {target_p2}")
+    return pulse_at(om_mid)

@@ -90,13 +90,14 @@ class QuantumState:
             raise HilbertError(f"matrix shape {m.shape} does not match dims {self.dims}")
         if not validate:
             return
-        if abs(np.trace(m).real - self.weight) > max(TRACE_TOL, 1e-9 * abs(self.weight)) or abs(
-            np.trace(m).imag
+        tr = np.trace(m)
+        if abs(tr.real - self.weight) > max(TRACE_TOL, 1e-9 * abs(self.weight)) or abs(
+            tr.imag
         ) > TRACE_TOL:
-            raise HilbertError(
-                f"trace {np.trace(m)} does not match declared weight {self.weight}"
-            )
-        if not np.allclose(m, m.conj().T, atol=HERM_TOL):
+            raise HilbertError(f"trace {tr} does not match declared weight {self.weight}")
+        # np.allclose(m, m^dagger, atol=HERM_TOL) written out; NaN fails it.
+        mh = m.conj().T
+        if not (np.abs(m - mh) <= HERM_TOL + 1e-5 * np.abs(mh)).all():
             raise HilbertError("matrix is not Hermitian within tolerance")
         eig = np.linalg.eigvalsh(m)
         if eig.min() < -EIG_TOL * max(1.0, self.weight):

@@ -75,28 +75,29 @@ LINK_BC = LinkConfig(
 _LINKS_KEPT = (2 * 2 + 1) * len(LinkConfig.visibility_by_window)
 
 
-def _build_node(
-    alpha: float,
-    pulse_ns: float,
-    p2_target: float,
-    detection_prob: float,
-    eta_psb: float,
-    window_ns: float,
-    window_start_ns: float,
-) -> photonics.NodeOptics:
-    pars = emitter.EmitterParams(gamma=1.0 / LIFETIME_NS, alpha=alpha)
+def _pulse_emission(
+    pars: emitter.EmitterParams, pulse_ns: float, p2_target: float
+) -> emitter.EmissionProbabilities:
+    """Emission of a node's pulse, calibrated to the re-excitation target."""
     if p2_target > 0.0:
         pulse = emitter.calibrate_pulse(
             p2_target, emitter.PulseShape("square", 1.0, pulse_ns), pars, GRID
         )
-        em = emitter.solve_emission(pulse, pars, GRID)
-    else:
-        # Idealized source: exact-pi-area pulse with the re-excitation branch off.
-        pulse = emitter.PulseShape("square", np.pi / (2.0 * pulse_ns), pulse_ns)
-        em = emitter.solve_emission(pulse, pars, GRID).without_double_excitation()
-    wp = emitter.window_probabilities(em, (window_start_ns, window_ns), PSB_WINDOW)
+        return emitter.solve_emission(pulse, pars, GRID)
+    # Idealized source: exact-pi-area pulse with the re-excitation branch off.
+    pulse = emitter.PulseShape("square", np.pi / (2.0 * pulse_ns), pulse_ns)
+    return emitter.solve_emission(pulse, pars, GRID).without_double_excitation()
+
+
+def _build_node(
+    pars: emitter.EmitterParams,
+    em: emitter.EmissionProbabilities,
+    wp: emitter.WindowProbabilities,
+    detection_prob: float,
+    eta_psb: float,
+) -> photonics.NodeOptics:
     node = photonics.NodeOptics(
-        alpha=alpha,
+        alpha=pars.alpha,
         p_zpl=pars.p_zpl,
         emission=em,
         windows=wp,
@@ -135,31 +136,30 @@ def _build_link(cfg: LinkConfig, window: float) -> photonics.LinkParams:
             f" (have {', '.join(_ns(w) for w in table)} ns)"
         )
     vis = table.get(window, cfg.visibility)
-    nodes = [
-        _build_node(
-            cfg.alpha[i],
-            cfg.pulse_ns[i],
-            cfg.double_excitation,
-            cfg.detection_prob[i],
-            cfg.psb_efficiency,
-            cfg.window_ns,
-            cfg.window_start_ns,
-        )
-        for i in (0, 1)
-    ]
-    if window != cfg.window_ns:
-        # Shorter windows keep their trailing edge: the early, re-excitation
-        # contaminated photons are dropped first.
-        start = cfg.window_start_ns + max(cfg.window_ns - window, 0.0)
-        nodes = [
-            replace(
-                node,
-                windows=emitter.window_probabilities(
-                    node.emission, (start, window), PSB_WINDOW
-                ),
+    pars = [emitter.EmitterParams(gamma=1.0 / LIFETIME_NS, alpha=a) for a in cfg.alpha]
+    # Shorter windows keep their trailing edge: the early, re-excitation
+    # contaminated photons are dropped first.
+    start = cfg.window_start_ns + max(cfg.window_ns - window, 0.0)
+    # A node's emission and window tables follow from its pulse, not from its
+    # bright-state population, so nodes with equal pulse lengths share them:
+    # the tables at the reference window (for the efficiency) and at this one.
+    sources = {}
+    for node_pars, pulse_ns in zip(pars, cfg.pulse_ns):
+        if pulse_ns not in sources:
+            em = _pulse_emission(node_pars, pulse_ns, cfg.double_excitation)
+            ref = emitter.window_probabilities(
+                em, (cfg.window_start_ns, cfg.window_ns), PSB_WINDOW
             )
-            for node in nodes
-        ]
+            if window != cfg.window_ns:
+                here = emitter.window_probabilities(em, (start, window), PSB_WINDOW)
+            else:
+                here = ref
+            sources[pulse_ns] = em, ref, here
+    nodes = []
+    for i, node_pars in enumerate(pars):
+        em, ref, here = sources[cfg.pulse_ns[i]]
+        node = _build_node(node_pars, em, ref, cfg.detection_prob[i], cfg.psb_efficiency)
+        nodes.append(node if here is ref else replace(node, windows=here))
     return photonics.LinkParams(
         node1=nodes[0],
         node2=nodes[1],

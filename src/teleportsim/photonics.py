@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -296,14 +296,18 @@ def _pattern(cfg: tuple) -> str:
     return "none"
 
 
-def _interference_kernel(visibility: float, sigma: float) -> tuple[np.ndarray, list[str]]:
-    """Beam splitter and phase average as one kernel over output configurations.
+_PATTERNS = ("+", "-", "none", "both")
 
-    Returns K[cfg, n1, n2, n1', n2'] = M[cfg, n1, n2] M*[cfg, n1', n2'] G[n2, n2']
-    and each configuration's click pattern, where M holds the output Fock
-    amplitudes of ``_bs_maps`` (zero for n1 + n2 > 2) and G is the
-    Gaussian-averaged relative-phase factor between components that took a
-    different number of photons from node 2.
+
+@lru_cache(maxsize=8)
+def _beam_splitter(visibility: float) -> tuple[np.ndarray, np.ndarray]:
+    """The beam splitter's table at one visibility, as read-only arrays.
+
+    Returns bs[cfg, n1, n2], the output Fock amplitudes of ``_bs_maps`` over
+    the sorted output configurations (zero for n1 + n2 > 2), and
+    clicks[p, cfg], whether a configuration's click pattern is
+    ``_PATTERNS[p]``.  Only the visibility changes the table, so it is built
+    once per visibility.
     """
     maps = _bs_maps(visibility)
     cfgs = sorted({cfg for amps in maps.values() for cfg in amps})
@@ -312,10 +316,52 @@ def _interference_kernel(visibility: float, sigma: float) -> tuple[np.ndarray, l
     for (n1, n2), amps in maps.items():
         for cfg, coef in amps.items():
             bs[index[cfg], n1, n2] = coef
+    clicks = np.array([[_pattern(cfg) == p for cfg in cfgs] for p in _PATTERNS])
+    bs.flags.writeable = clicks.flags.writeable = False
+    return bs, clicks
+
+
+def _interference_kernel(visibility: float, sigma: float) -> tuple[np.ndarray, np.ndarray]:
+    """Beam splitter and phase average as one kernel over output configurations.
+
+    Returns K[cfg, n1, n2, n1', n2'] = M[cfg, n1, n2] M*[cfg, n1', n2'] G[n2, n2']
+    and the click masks of ``_beam_splitter``, where M is its table and G
+    the Gaussian-averaged relative-phase factor between components that
+    took a different number of photons from node 2.
+    """
+    bs, clicks = _beam_splitter(visibility)
     d = np.arange(3)
     phase = np.exp(-0.5 * (sigma * (d[:, None] - d[None, :])) ** 2)
     kernel = np.einsum("knm,klp,mp->knmlp", bs, bs.conj(), phase)
-    return kernel, [_pattern(cfg) for cfg in cfgs]
+    return kernel, clicks
+
+
+# The herald contraction: kernel, node-1 densities, node-2 densities.
+_HERALD = "knmlp,xanbl,ycmdp->xykacbd"
+
+
+def _herald_paths() -> dict[tuple[int, int, int], list]:
+    """numpy's greedy path for ``_HERALD`` per (configurations, node-1 classes, node-2 classes).
+
+    The beam splitter has fewer output configurations at visibility 0 or 1
+    than in between, and a node has one to four flag classes.  The greedy
+    choice depends on the shapes (two different paths occur), so each
+    shape keeps its own.
+    """
+    paths = {}
+    for n_cfg in {len(_beam_splitter(v)[0]) for v in (0.0, 0.5, 1.0)}:
+        for nx in range(1, len(_CLASSES) + 1):
+            for ny in range(1, len(_CLASSES) + 1):
+                operands = (
+                    np.empty((n_cfg, 3, 3, 3, 3), dtype=complex),
+                    np.empty((nx, 2, 3, 2, 3)),
+                    np.empty((ny, 2, 3, 2, 3)),
+                )
+                paths[n_cfg, nx, ny] = np.einsum_path(_HERALD, *operands, optimize=True)[0]
+    return paths
+
+
+_HERALD_PATHS = _herald_paths()
 
 
 @dataclass(frozen=True)
@@ -365,20 +411,27 @@ def interfere_and_herald(link: LinkParams) -> HeraldedLink:
     One contraction of the two nodes' flag-class densities (``densities``,
     from ``branch_emission``) with the beam-splitter/phase kernel gives the
     unnormalized two-spin matrix of every output configuration for every
-    pair of flag classes.  Coefficient vectors over the configurations then
-    apply the click patterns and dark counts: a single click heralds its
-    detector's sign (times the chance of no dark count), no click heralds
-    either sign through one dark count, and clicks in both detectors are
-    discarded.  Flagged class pairs are rejected when tailored heralding is
-    on.  Photon numbers above two in total are truncated; their weight, from
-    the nodes' photon-number marginals, must stay below 1e-6.
+    pair of flag classes.  The contraction follows numpy's greedy path for
+    its shapes, found once at import (``_HERALD_PATHS``), and the kernel
+    starts from the beam-splitter table of the link's visibility, built
+    once per visibility (``_beam_splitter``).  Coefficient vectors over the
+    configurations then apply the click patterns and dark counts: a single
+    click heralds its detector's sign (times the chance of no dark count),
+    no click heralds either sign through one dark count, and clicks in both
+    detectors are discarded.  Flagged class pairs are rejected when tailored
+    heralding is on, which leaves only the unflagged pair; with it off,
+    every pair heralds and its flags are tallied.  Photon numbers above two
+    in total are truncated; their weight, from the nodes' photon-number
+    marginals, must stay below 1e-6.
 
     Returns herald probabilities per detector sign, the conditioned
     (normalized) two-spin states, rejected/discarded weights, and the
     side-band flag statistics used for tailored-heralding analysis.
     """
-    if not np.allclose(link.node1.windows.zpl_window, link.node2.windows.zpl_window):
-        raise PhotonicsError("nodes have mismatched detection windows")
+    # np.allclose's test, written out for two (start, length) pairs.
+    for a, b in zip(link.node1.windows.zpl_window, link.node2.windows.zpl_window):
+        if not abs(a - b) <= 1e-8 + 1e-5 * abs(b):
+            raise PhotonicsError("nodes have mismatched detection windows")
     classes1, dens1 = link.node1.densities
     classes2, dens2 = link.node2.densities
 
@@ -390,11 +443,12 @@ def interfere_and_herald(link: LinkParams) -> HeraldedLink:
     if dropped > 1e-6:
         raise PhotonicsError(f"truncated photon weight {dropped:.2e} too large")
 
-    kernel, patterns = _interference_kernel(
+    kernel, clicks = _interference_kernel(
         link.visibility, math.radians(link.phase_uncertainty_deg)
     )
     # rho[x, y, cfg] over spins (s1 s2, s1' s2'), for node-1 class x, node-2 class y.
-    rho = np.einsum("knmlp,xanbl,ycmdp->xykacbd", kernel, dens1, dens2, optimize=True)
+    path = _HERALD_PATHS[len(kernel), len(dens1), len(dens2)]
+    rho = np.einsum(_HERALD, kernel, dens1, dens2, optimize=path)
     rho = rho.reshape(rho.shape[:3] + (4, 4))
     weight = np.einsum("xykii->xyk", rho).real
 
@@ -402,31 +456,29 @@ def interfere_and_herald(link: LinkParams) -> HeraldedLink:
     dark = p_dark * (1.0 - p_dark)
     # Herald coefficient per sign (+, -) and configuration: one click in that
     # detector and no dark count, or no click and one dark count.
-    coef = np.array(
-        [
-            [1.0 - p_dark if pat == sign else dark if pat == "none" else 0.0 for pat in patterns]
-            for sign in ("+", "-")
-        ]
-    )
+    sign, none, both = clicks[:2], clicks[2], clicks[3]
+    coef = (1.0 - p_dark) * sign + dark * none
     heralded = np.einsum("sk,xykij->sxyij", coef, rho)
-    both = np.array([pat == "both" for pat in patterns])
     p_double = float(np.sum(weight[:, :, both]))
-    # Class pairs whose herald-capable configurations carry weight record flags.
-    seen = np.sum(weight[:, :, ~both], axis=2) > 0.0
 
     acc = np.zeros((2, 4, 4), dtype=complex)
     flag_rho: dict[tuple, np.ndarray] = {}
     p_rejected = 0.0
-    for x, c1 in enumerate(classes1):
-        for y, c2 in enumerate(classes2):
-            pair = heralded[:, x, y]
-            if link.psb_rejection and (c1 or c2):
-                p_rejected += float(np.trace(pair.sum(axis=0)).real)
-                continue
-            acc += pair
-            if seen[x, y]:
-                for f in [("node1", e) for e in c1] + [("node2", e) for e in c2]:
-                    flag_rho[f] = flag_rho.get(f, 0.0) + pair.sum(axis=0)
+    if link.psb_rejection:
+        # Only the pair of unflagged classes, where both nodes have one, heralds.
+        flagged = np.array([[bool(c1 or c2) for c2 in classes2] for c1 in classes1])
+        acc += heralded[:, ~flagged].sum(axis=1)
+        p_rejected = float(np.einsum("sfii->", heralded[:, flagged]).real)
+    else:
+        # Class pairs whose herald-capable configurations carry weight record flags.
+        seen = np.sum(weight[:, :, ~both], axis=2) > 0.0
+        for x, c1 in enumerate(classes1):
+            for y, c2 in enumerate(classes2):
+                pair = heralded[:, x, y]
+                acc += pair
+                if seen[x, y]:
+                    for f in [("node1", e) for e in c1] + [("node2", e) for e in c2]:
+                        flag_rho[f] = flag_rho.get(f, 0.0) + pair.sum(axis=0)
 
     def normalize(m: np.ndarray, p: float) -> QuantumState:
         return QuantumState((2, 2), ("q1", "q2"), m / p if p > 0 else np.eye(4) / 4.0)

@@ -182,21 +182,25 @@ def bar_readout(
     if memory.dims != (2,):
         raise SpinNoiseError("memory must be a single qubit")
     rho = memory.normalized().matrix
-    m = int(rng.uniform() < rho[1, 1].real)
+    # One uniform for the memory, then four per block (pre-flip, mapping
+    # error, optical readout, post-flip), drawn at once in that order.
+    u = rng.uniform(size=1 + 4 * reps).tolist()
+    m = int(u[0] < rho[1, 1].real)
     f0, f1 = params.comm_fidelities
     pattern = []
     for k in range(1, reps + 1):
-        if rng.uniform() < params.flip_pre:
+        pre, mapping, readout, post = u[4 * k - 3 : 4 * k + 1]
+        if pre < params.flip_pre:
             m = 1 - m
         comm = m if k % 2 == 1 else 1 - m
-        if rng.uniform() < params.map_error:
+        if mapping < params.map_error:
             comm = 1 - comm
         if comm == 0:
-            bit = 0 if rng.uniform() < f0 else 1
+            bit = 0 if readout < f0 else 1
         else:
-            bit = 1 if rng.uniform() < f1 else 0
+            bit = 1 if readout < f1 else 0
         pattern.append(bit)
-        if rng.uniform() < params.flip_post:
+        if post < params.flip_post:
             m = 1 - m
     assigned = pattern[0]
     consistent = all(

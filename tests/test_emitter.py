@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from teleportsim import emitter as em
+from teleportsim.params import LINK_AB, build_link
 
 from .oracles.master_equation import master_equation_populations
 from .oracles.trajectories import simulate_jumps
@@ -150,6 +151,159 @@ def test_calibrate_pulse_unreachable_target(params, grid):
         em.calibrate_pulse(0.4, em.PulseShape("square", 1.0, 2.0), params, grid)
 
 
+def _bisect_one_at_a_time(target_p2, template, params, grid, tol=1e-3):
+    """Reference calibration: the bisection with one populations() call per amplitude.
+
+    Returns the pulse and the amplitudes it evaluated, in order.
+    """
+    visited = []
+    area_scale = 2.0 * template.duration_ns
+
+    def pulse_at(om):
+        return em.PulseShape(template.kind, om, template.duration_ns, template.start_ns)
+
+    def p2_of(om):
+        visited.append(om)
+        return em.EmissionSolution(pulse_at(om), params.gamma, grid.horizon).populations()[1]
+
+    om_lo = 0.8 * np.pi / area_scale
+    om_hi = 1.2 * np.pi / area_scale
+    p_lo, p_hi = p2_of(om_lo), p2_of(om_hi)
+    if target_p2 <= p_lo:
+        om_pi = np.pi / area_scale
+        if abs(p2_of(om_pi) - target_p2) <= tol:
+            return pulse_at(om_pi), visited
+        raise em.EmitterError(
+            f"target P2={target_p2} below reachable range [{p_lo:.4f}, {p_hi:.4f}]"
+        )
+    if target_p2 > p_hi:
+        raise em.EmitterError(
+            f"target P2={target_p2} above reachable range [{p_lo:.4f}, {p_hi:.4f}]"
+        )
+    for _ in range(60):
+        om_mid = 0.5 * (om_lo + om_hi)
+        p_mid = p2_of(om_mid)
+        if abs(p_mid - target_p2) < 0.2 * tol:
+            break
+        if p_mid < target_p2:
+            om_lo = om_mid
+        else:
+            om_hi = om_mid
+    pulse = pulse_at(0.5 * (om_lo + om_hi))
+    achieved = p2_of(pulse.omega_max)
+    if abs(achieved - target_p2) > tol:
+        raise em.EmitterError(f"calibration failed: P2={achieved:.5f} vs target {target_p2}")
+    return pulse, visited
+
+
+def _reachable(duration, params, grid):
+    """P2 at both ends of the calibration bracket, 0.8 pi and 1.2 pi of area."""
+    return [
+        em.EmissionSolution(
+            em.PulseShape("square", area / (2.0 * duration), duration), params.gamma, grid.horizon
+        ).populations()[1]
+        for area in (0.8 * np.pi, 1.2 * np.pi)
+    ]
+
+
+def _outcome(calibrate, *args, **kwargs):
+    """A calibration's pulse amplitude as a hex float, or its error message."""
+    try:
+        pulse = calibrate(*args, **kwargs)
+    except em.EmitterError as exc:
+        return str(exc)
+    return (pulse[0] if isinstance(pulse, tuple) else pulse).omega_max.hex()
+
+
+@pytest.mark.parametrize("duration", [5.0, 6.0])
+def test_batched_calibration_matches_one_at_a_time(duration, params, grid):
+    # The batched passes walk the same bisection: the same amplitude to the
+    # last bit at 30 targets over each template's reachable range, both ends
+    # included, and the same message for targets out of range.
+    template = em.PulseShape("square", 1.0, duration)
+    p_lo, p_hi = _reachable(duration, params, grid)
+    targets = [*np.linspace(p_lo + 1e-9, p_hi, 29), 0.5 * (p_lo + p_hi) + 1e-4]
+    outcomes = []
+    for target in [float(t) for t in targets] + [p_lo - 2e-3, p_hi + 1e-6]:
+        outcomes.append(_outcome(_bisect_one_at_a_time, target, template, params, grid))
+        assert _outcome(em.calibrate_pulse, target, template, params, grid) == outcomes[-1]
+    assert "below reachable range" in outcomes[-2] and "above reachable range" in outcomes[-1]
+    # Without tolerance no early exit: all 60 halvings, then the midpoint of
+    # the last bracket is checked.
+    target = 0.5 * (p_lo + p_hi)
+    want = _outcome(_bisect_one_at_a_time, target, template, params, grid, tol=0.0)
+    assert _outcome(em.calibrate_pulse, target, template, params, grid, tol=0.0) == want
+
+
+def test_batched_calibration_pi_area_branch(params, grid):
+    # A target at or below the bracket's lower end returns the pi-area pulse
+    # when that pulse reaches it.
+    template = em.PulseShape("square", 1.0, 0.02)
+    want, _ = _bisect_one_at_a_time(0.0, template, params, grid)
+    assert em.calibrate_pulse(0.0, template, params, grid) == want
+    assert want.omega_max == np.pi / (2.0 * template.duration_ns)
+
+
+def test_calibration_takes_at_most_three_passes(monkeypatch, params, grid):
+    # One pass evaluates the bracket ends and the next bisection levels at
+    # once; a calibration takes at most three, where one populations() call
+    # per amplitude takes about ten.
+    passes = []
+    batch = em.EmissionSolution._p2_and_guards
+
+    def counted(self, omega):
+        passes.append(len(omega))
+        return batch(self, omega)
+
+    monkeypatch.setattr(em.EmissionSolution, "_p2_and_guards", counted)
+    per_calibration, calls = [], []
+    for duration in (5.0, 6.0):
+        template = em.PulseShape("square", 1.0, duration)
+        p_lo, p_hi = _reachable(duration, params, grid)
+        for target in np.linspace(p_lo + 1e-9, p_hi, 12):
+            passes.clear()
+            em.calibrate_pulse(float(target), template, params, grid)
+            per_calibration.append(len(passes))
+            calls.append(len(_bisect_one_at_a_time(float(target), template, params, grid)[1]))
+    assert max(per_calibration) <= 3
+    assert 3 * sum(per_calibration) < sum(calls)
+
+
+def test_calibration_guards_only_the_amplitudes_it_visits(monkeypatch, params, grid):
+    # Amplitudes a pass evaluates but the walk never reaches may fail a
+    # guard without effect; a visited one raises.
+    template = em.PulseShape("square", 1.0, 5.0)
+    want, visited = _bisect_one_at_a_time(0.05, template, params, grid)
+    batch = em.EmissionSolution._p2_and_guards
+
+    def poisoned(bad):
+        def evaluate(self, omega):
+            p2, left, quadrature = batch(self, omega)
+            hit = np.array([bad(om) for om in omega.tolist()])
+            return p2, np.where(hit, 1.0, left), np.where(hit, 1.0, quadrature)
+
+        return evaluate
+
+    unvisited, last = poisoned(lambda om: om not in visited), poisoned(lambda om: om == visited[-1])
+    monkeypatch.setattr(em.EmissionSolution, "_p2_and_guards", unvisited)
+    assert em.calibrate_pulse(0.05, template, params, grid) == want
+    monkeypatch.setattr(em.EmissionSolution, "_p2_and_guards", last)
+    with pytest.raises(em.EmitterError, match="excited population"):
+        em.calibrate_pulse(0.05, template, params, grid)
+
+
+def test_driven_at_critical_damping(params, grid):
+    # At Omega = gamma / 4 the propagator frequency nu is exactly zero and
+    # sin(nu tau) / nu is tau: the populations join their neighbours.
+    om = params.gamma / 4.0
+    at, near = (
+        em.EmissionSolution(em.PulseShape("square", w, 20.0), params.gamma, grid.horizon)
+        for w in (om, om * (1 + 1e-7))
+    )
+    assert em._driven(om, params.gamma, 1.0)[1] == pytest.approx(-1j * om * np.exp(-om), rel=1e-12)
+    assert at.populations() == pytest.approx(near.populations(), abs=1e-7)
+
+
 def test_p2_monotone_in_duration_at_fixed_area(params, grid):
     p2s = []
     for d in (1.0, 2.0, 3.5, 5.0, 7.0):
@@ -200,6 +354,24 @@ def test_window_validation_rejects_bad_tables(pi_emission):
     ):
         with pytest.raises(em.EmitterError, match=match):
             bad.validate()
+
+
+def test_window_validation_rejects_underfull_table():
+    # A rounding-level negative entry keeps every entry in range but takes
+    # most of the mass out of the table: validate() sees it, not the herald.
+    wp = build_link(LINK_AB).node1.windows
+    zz = wp.zz.copy()
+    zz[0, 0] = -1e-12
+    assert zz.sum() < 0.99
+    with pytest.raises(em.EmitterError, match="not 1"):
+        replace(wp, zz=zz).validate()
+    # All-zero tables stand for a node without two-photon mass.
+    dark = em.solve_emission(em.PulseShape("square", 0.0, 2.0), em.EmitterParams(GAMMA, 0.07))
+    wp = em.window_probabilities(dark, (1.5, 15.0), (0.0, 190.0))
+    assert not any(t.any() for t in (wp.zz, wp.bb, wp.zb, wp.bz))
+    half = replace(wp, bb=np.full((3, 3), 0.5 / 9))
+    with pytest.raises(em.EmitterError, match="not 1"):
+        half.validate()
 
 
 def test_window_negative_length_rejected(pi_emission):

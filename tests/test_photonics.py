@@ -208,6 +208,57 @@ def test_window_mismatch_rejected(link_ab, link_bc):
         )
 
 
+def test_window_check_is_allclose(link_ab):
+    # The window check is np.allclose's test on the (start, length) pairs.
+    start, length = link_ab.node1.windows.zpl_window
+    for window in ((start + 1e-12, length), (start, length * (1 + 1e-6)), (start, length + 1e-3),
+                   (start, float("nan"))):
+        node2 = replace(link_ab.node2, windows=replace(link_ab.node2.windows, zpl_window=window))
+        close = bool(np.allclose(link_ab.node1.windows.zpl_window, window))
+        if close:
+            interfere_and_herald(replace(link_ab, node2=node2))
+        else:
+            with pytest.raises(photonics.PhotonicsError, match="mismatched"):
+                interfere_and_herald(replace(link_ab, node2=node2))
+
+
+def test_herald_paths_are_numpys_greedy_choice(link_ab, link_bc):
+    # Every stored contraction path is the one np.einsum(optimize=True) picks
+    # for its shapes, so a numpy whose greedy choice changes fails here
+    # instead of moving the herald at rounding level.
+    counts = {len(photonics._beam_splitter(v)[0]) for v in (0.0, 0.5, 1.0)}
+    for n_cfg in counts:
+        for nx in range(1, 5):
+            for ny in range(1, 5):
+                operands = (
+                    np.zeros((n_cfg, 3, 3, 3, 3), dtype=complex),
+                    np.zeros((nx, 2, 3, 2, 3)),
+                    np.zeros((ny, 2, 3, 2, 3)),
+                )
+                want = np.einsum_path(photonics._HERALD, *operands, optimize=True)[0]
+                assert photonics._HERALD_PATHS[n_cfg, nx, ny] == want
+    assert len(photonics._HERALD_PATHS) == 16 * len(counts)
+    assert len({tuple(p) for p in photonics._HERALD_PATHS.values()}) == 2
+    # On the built links' densities the stored path gives the greedy result bit for bit.
+    for link in (link_ab, link_bc, link_ab.protocol_only):
+        kernel, _ = photonics._interference_kernel(link.visibility, 0.3)
+        (_, dens1), (_, dens2) = link.node1.densities, link.node2.densities
+        path = photonics._HERALD_PATHS[len(kernel), len(dens1), len(dens2)]
+        assert np.array_equal(
+            np.einsum(photonics._HERALD, kernel, dens1, dens2, optimize=path),
+            np.einsum(photonics._HERALD, kernel, dens1, dens2, optimize=True),
+        )
+
+
+def test_beam_splitter_table_built_once_per_visibility():
+    bs, clicks = photonics._beam_splitter(0.9)
+    assert photonics._beam_splitter(0.9)[0] is bs
+    assert not bs.flags.writeable and not clicks.flags.writeable
+    # Every output configuration has exactly one click pattern.
+    assert np.array_equal(clicks.sum(axis=0), np.ones(len(bs)))
+    assert len(photonics._beam_splitter(1.0)[0]) < len(bs)
+
+
 def test_flagged_herald_fraction(link_ab):
     # False heralds occur at the ten-percent level and are side-band flagged
     # with the side-band efficiency, so the flagged fraction sits near 1%.
@@ -532,6 +583,33 @@ def test_fock_oracle_agreement_random():
 
 def test_build_link_keyed_on_resolved_window():
     assert params.build_link(params.LINK_AB) is params.build_link(params.LINK_AB, window_ns=15.0)
+
+
+@pytest.mark.parametrize(
+    "pulse_ns, window, want",
+    [
+        ((5.0, 5.0), 10.0, (1, 1, 2)),  # one pulse: its tables at 15 ns and at 10 ns
+        ((5.0, 5.0), 15.0, (1, 1, 1)),
+        ((5.0, 6.0), 15.0, (2, 2, 2)),
+    ],
+)
+def test_build_link_computes_each_pulse_once(monkeypatch, pulse_ns, window, want):
+    # A node's emission and window tables follow from its pulse alone, so
+    # nodes with equal pulses share them although their alphas differ.
+    calls = dict.fromkeys(("calibrate_pulse", "solve_emission", "window_probabilities"), 0)
+    for name in calls:
+        def counted(*args, _f=getattr(emitter, name), _name=name):
+            calls[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(emitter, name, counted)
+    cfg = replace(params.LINK_AB, name=f"AB-{pulse_ns}-{window}", pulse_ns=pulse_ns)
+    link = params.build_link(cfg, window_ns=window)
+    assert tuple(calls.values()) == want
+    shared = pulse_ns[0] == pulse_ns[1]
+    assert (link.node1.emission is link.node2.emission) == shared
+    assert (link.node1.windows is link.node2.windows) == shared
+    assert link.node1.alpha != link.node2.alpha
 
 
 def test_uncalibrated_window_rejected():

@@ -208,6 +208,55 @@ def test_bar_matches_sampling():
     assert abs(ok / cons - f[1]) < 3 * se_f
 
 
+def _bar_readout_scalar_draws(memory, reps, pars, rng):
+    """Reference readout: one scalar uniform per decision, in the sampler's order."""
+    m = int(rng.uniform() < memory.normalized().matrix[1, 1].real)
+    f0, f1 = pars.comm_fidelities
+    pattern = []
+    for k in range(1, reps + 1):
+        if rng.uniform() < pars.flip_pre:
+            m = 1 - m
+        comm = m if k % 2 == 1 else 1 - m
+        if rng.uniform() < pars.map_error:
+            comm = 1 - comm
+        if comm == 0:
+            bit = 0 if rng.uniform() < f0 else 1
+        else:
+            bit = 1 if rng.uniform() < f1 else 0
+        pattern.append(bit)
+        if rng.uniform() < pars.flip_post:
+            m = 1 - m
+    expected = [pattern[0] if k % 2 == 1 else 1 - pattern[0] for k in range(1, reps + 1)]
+    return pattern[0], tuple(pattern), pattern == expected
+
+
+def _plain(state):
+    """A bit generator's state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {k: _plain(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.Philox])
+def test_bar_readout_draws_match_scalar_draws(bit_generator):
+    # The sampler draws its 1 + 4 reps uniforms in one call: the same values
+    # as scalar draws, and the generator is left in the same state.
+    prm = np.random.default_rng(2022)
+    states = [hb.qubit("m", ket) for ket in (hb.KET0, hb.KET1, hb.KET_PLUS, hb.KET_MINUS_I)]
+    for i in range(200):
+        f0, f1, map_error, flip_pre, flip_post = prm.uniform(0.0, 1.0, 5)
+        pars = sn.ReadoutParams((f0, f1), map_error, flip_pre, flip_post)
+        reps = 1 + i % 5
+        memory = states[i % len(states)]
+        seed = int(prm.integers(2**32))
+        rng, ref = (np.random.Generator(bit_generator(seed)) for _ in range(2))
+        res = sn.bar_readout(memory, reps, pars, rng)
+        assert (res.assigned, res.pattern, res.consistent) == _bar_readout_scalar_draws(
+            memory, reps, pars, ref
+        )
+        assert _plain(rng.bit_generator.state) == _plain(ref.bit_generator.state)
+
+
 def test_bar_rejects_bad_reps():
     bob = params.readout_params("bob")
     for max_reps in (6, 0, -1, 2.0, True, "2", None):
