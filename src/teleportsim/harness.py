@@ -177,7 +177,7 @@ class Scenario:
 
     @classmethod
     def from_values(cls, values: dict) -> "Scenario":
-        kinds = get_type_hints(cls)
+        kinds = _FIELD_TYPES
         kwargs = {}
         for key, value in values.items():
             if key not in _SCENARIO_KEYS:
@@ -204,6 +204,10 @@ class Scenario:
             timeout=self.timeout,
             attempt_period_s=self.attempt_period_s,
         )
+
+
+#: ``Scenario``'s field types, resolved once rather than per loaded file.
+_FIELD_TYPES = get_type_hints(Scenario)
 
 
 def load_scenario(path: str | Path) -> Scenario:
@@ -383,8 +387,14 @@ def teleport_budget_table(scenario: Scenario) -> dict:
     """Teleported-state infidelity attributed to each preparation/measurement noise.
 
     Link noise stays on throughout; each row is the infidelity increase over
-    the links-only protocol when that single source is restored.  Rows that
-    restore only fields the teleporter does not read share its preparation.
+    the links-only protocol when that single source is restored.  The
+    teleporter has three stages: the attempt averages (the Bob-Charlie
+    link, timeout, Bob's memory fit, Alice's decoupling fits, attempt period
+    and overhead), Bob's stage (both links, his Bell measurement, storage
+    depolarizing and frame) and Charlie's storage (depolarizing and frame).
+    A row shares every stage whose inputs it leaves at the links-only
+    values, so the rows build four attempt averages and four Bob stages,
+    the scenario's own included, and seven teleporters.
     """
     base_cfg = scenario.config
     # The links-only protocol: its ideal readouts accept every pattern, which
@@ -396,8 +406,6 @@ def teleport_budget_table(scenario: Scenario) -> dict:
         timeout=base_cfg.timeout,
         attempt_period_s=base_cfg.attempt_period_s,
     )
-    f0 = protocol.average_fidelity(base)
-    rows = {}
     restore = {
         "ionization_alice": ("ionization_alice",),
         "alice_decoupling": ("alice_eigen_fit", "alice_super_fit"),
@@ -408,9 +416,14 @@ def teleport_budget_table(scenario: Scenario) -> dict:
         "charlie_readout": ("charlie_bsm",),
         "state_preparation": ("prep_init_error", "prep_pulse_error"),
     }
-    for name, fields in restore.items():
-        cfg = protocol.replace_config(base, **{f: getattr(base_cfg, f) for f in fields})
-        rows[name] = float(f0 - protocol.average_fidelity(cfg))
+    cfgs = [base] + [
+        replace(base, **{f: getattr(base_cfg, f) for f in fields}) for fields in restore.values()
+    ]
+    f0, *restored = (
+        protocol.average_fidelity(cfg, tp)
+        for cfg, tp in zip(cfgs, protocol.prepare_teleporters(cfgs))
+    )
+    rows = {name: float(f0 - f) for name, f in zip(restore, restored)}
     rows["links_only_infidelity"] = float(1.0 - f0)
     rows["combined"] = float(1.0 - protocol.average_fidelity(base_cfg))
     return rows

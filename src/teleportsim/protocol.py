@@ -11,12 +11,27 @@ Two execution modes share one noise model.  The analytic mode averages
 exactly over Bell outcomes, herald signs and the attempt-number
 distribution: it prepares the teleporter once per configuration
 (``ProtocolConfig.teleporter``) and sends the inputs through it as one
-stack, so the six cardinal states take one contraction.  Each Bell
-measurement is one contraction giving all four outcomes for every input,
-readout errors one 4x4 confusion matrix, the feed-forward corrections
+stack, so the six cardinal states take one contraction.  The teleporter is
+built in three stages, each a function of only the inputs it reads
+(``_stage_inputs``):
+
+- the attempt averages (``_q_averages``): the Bob-Charlie success
+  probability, timeout, Bob's memory fit, Alice's decoupling fits, attempt
+  period and overhead;
+- Bob's stage (``_bob_stage``): both links, Bob's Bell measurement model,
+  storage depolarizing and frame;
+- Charlie's storage (``_prepare_teleporter``): his storage depolarizing and
+  frame, applied to Bob's stage.
+
+``prepare_teleporters`` shares a stage between configurations whose inputs
+to it are the same objects, so an error budget builds each distinct stage
+once.  Storage depolarizing and Bob's memory dephasing act as Pauli weights.
+Each Bell measurement is one contraction giving all four outcomes for every
+input, readout errors one 4x4 confusion matrix, the feed-forward corrections
 constant tables per storage frame, and the acceptance policy a mask.  The
 Monte Carlo mode runs the full sequence shot by shot on one labeled state,
-sampling each herald, Bell outcome and readout error.
+sampling each herald, Bell outcome and readout error, and applies the noise
+as Kraus channels, independently of the analytic shortcuts.
 """
 
 from __future__ import annotations
@@ -53,7 +68,9 @@ from .spin_noise import (
     decoupling_channel,
     decoupling_weights,
     dephasing_from_factor,
+    dephasing_weights,
     depolarizing,
+    depolarizing_weights,
     ionization_event,
     prepare_input_state,
     prepared_inputs,
@@ -135,6 +152,11 @@ _ALICE_FIX = {
     name: _constant(np.stack([teleport_correction(m, c, r) for m, c in BELL_OUTCOMES]))
     for name, r in STORAGE_FRAMES.items()
 }
+_PHI_PLUS = _constant(np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0))
+#: Alice-Charlie's target state once Charlie has stored, (1 (x) Rc)|Phi+>, per frame.
+_STORED_TARGETS = {
+    name: _constant(np.kron(np.eye(2), r) @ _PHI_PLUS) for name, r in STORAGE_FRAMES.items()
+}
 _SWAP_FIX = {
     name: _constant(np.array([
         [[np.kron(np.eye(2), swap_correction(m, c, s1, s2, r)) for m, c in BELL_OUTCOMES]
@@ -168,15 +190,17 @@ class BsmModel:
     def accepts(self, m: int, c: int) -> bool:
         return c == 0 or self.policy == "all"
 
-    @property
+    @cached_property
     def accepted(self) -> np.ndarray:
         """Mask over ``BELL_OUTCOMES``: the assigned outcomes the policy keeps."""
-        return np.array([self.accepts(*mc) for mc in BELL_OUTCOMES])
+        return _constant(np.array([self.accepts(*mc) for mc in BELL_OUTCOMES]))
 
-    @property
+    @cached_property
     def confusion_matrix(self) -> np.ndarray:
         """P(assigned | true) over ``BELL_OUTCOMES``, rows assigned, columns true."""
-        return np.kron(_assignment(self.memory_fidelities), _assignment(self.comm_fidelities))
+        return _constant(
+            np.kron(_assignment(self.memory_fidelities), _assignment(self.comm_fidelities))
+        )
 
     @property
     def acceptance_probability(self) -> float:
@@ -228,26 +252,7 @@ class ProtocolConfig:
     @cached_property
     def teleporter(self) -> Teleporter:
         """The input-independent teleporter, prepared once per configuration."""
-        return _prepare_teleporter(self)
-
-
-#: The ``ProtocolConfig`` fields the prepared teleporter reads.  Charlie's
-#: measurement, Alice's ionization, input preparation and the first link's
-#: attempt cap act later.
-TELEPORTER_FIELDS = frozenset({
-    "link_ab", "link_bc", "bob_bsm", "memory_fit", "alice_eigen_fit", "alice_super_fit",
-    "store_depol_bob", "store_depol_charlie", "timeout", "attempt_period_s",
-    "alice_total_overhead_s", "frame_bob", "frame_charlie",
-})
-
-
-def replace_config(cfg: ProtocolConfig, **changes) -> ProtocolConfig:
-    """``replace(cfg, **changes)`` that keeps ``cfg``'s prepared teleporter
-    when none of the changed fields is in ``TELEPORTER_FIELDS``."""
-    new = replace(cfg, **changes)
-    if TELEPORTER_FIELDS.isdisjoint(changes):
-        new.__dict__["teleporter"] = cfg.teleporter
-    return new
+        return prepare_teleporters([self])[0]
 
 
 def noiseless_config(
@@ -423,6 +428,20 @@ def _on_second(kraus, rho: np.ndarray) -> np.ndarray:
     return np.einsum("kbj,...ajcl,kdl->...abcd", k, t, k.conj()).reshape(rho.shape)
 
 
+_PAULI_STACK = _constant(np.stack(PAULIS))
+
+
+def _pauli_on_second(weights: np.ndarray, rho: np.ndarray) -> np.ndarray:
+    """Pauli channel on the second qubit of (a stack of) two-qubit density matrices.
+
+    ``weights`` (..., 4) are the (I, X, Y, Z) probabilities; their leading
+    axes broadcast against the stack's.
+    """
+    t = rho.reshape(*rho.shape[:-2], 2, 2, 2, 2)
+    out = np.einsum("...i,ibj,...ajcl,idl->...abcd", weights, _PAULI_STACK, t, _PAULI_STACK.conj())
+    return out.reshape(*out.shape[:-4], 4, 4)
+
+
 def entanglement_swap(
     rho_ab: QuantumState,
     rho_bc: QuantumState,
@@ -492,21 +511,32 @@ def truncated_geometric_sums(p: float, timeout: int, terms) -> tuple[float, np.n
     return float(mass), acc
 
 
-def _q_averages(cfg: ProtocolConfig) -> _QAverages:
+def _q_averages(
+    link_bc: LinkParams,
+    timeout: int,
+    memory_fit: DecayFit,
+    alice_eigen_fit: DecayFit,
+    alice_super_fit: DecayFit,
+    attempt_period_s: float,
+    alice_total_overhead_s: float,
+) -> _QAverages:
+    """The attempt averages: Bob's memory dephasing and Alice's decoupling
+    weights over the Bob-Charlie attempt count q = 1..timeout."""
+
     def terms(qs: np.ndarray) -> np.ndarray:
-        lam = cfg.memory_fit.decay_factor(qs)
+        lam = memory_fit.decay_factor(qs)
         with np.errstate(over="ignore"):  # a wait that overflows has decayed fully
-            t_alice = 2.0 * qs * cfg.attempt_period_s + cfg.alice_total_overhead_s
-        weights = decoupling_weights(t_alice, cfg.alice_eigen_fit, cfg.alice_super_fit)
+            t_alice = 2.0 * qs * attempt_period_s + alice_total_overhead_s
+        weights = decoupling_weights(t_alice, alice_eigen_fit, alice_super_fit)
         return np.column_stack([qs, lam, weights, lam[:, None] * weights])
 
-    p = build_heralded(cfg.link_bc).p_success
+    p = build_heralded(link_bc).p_success
     if not p > 0.0:
         raise ProtocolError(
             "the Bob-Charlie link never heralds: success probability 0 per attempt"
-            f" at a {cfg.link_bc.zpl_window_ns:g} ns detection window"
+            f" at a {link_bc.zpl_window_ns:g} ns detection window"
         )
-    mass, sums = truncated_geometric_sums(p, cfg.timeout, terms)
+    mass, sums = truncated_geometric_sums(p, timeout, terms)
     sums = sums / mass
     return _QAverages(
         p_success=mass,
@@ -517,26 +547,37 @@ def _q_averages(cfg: ProtocolConfig) -> _QAverages:
     )
 
 
-def _bob_stage(cfg: ProtocolConfig) -> np.ndarray:
+#: Pauli weights of Bob's memory dephasing at coherence factor 0 and 1.
+_DEPHASING_ENDS = _constant(np.stack([dephasing_weights(lam) for lam in (0.0, 1.0)]))
+
+
+def _bob_stage(
+    link_ab: LinkParams,
+    link_bc: LinkParams,
+    bob_bsm: BsmModel,
+    store_depol_bob: float,
+    frame_bob: str,
+) -> np.ndarray:
     """Unnormalized Alice-Charlie states after Bob's swap, (2, 4, 4).
 
     Stacked at memory dephasing factor 0 and 1 (the state is affine in it),
     each summed over herald signs and the Bob outcomes the policy accepts,
     weighted by their probabilities, after Charlie's frame correction.
     """
-    hl_ab, hl_bc = build_heralded(cfg.link_ab), build_heralded(cfg.link_bc)
+    hl_ab, hl_bc = build_heralded(link_ab), build_heralded(link_bc)
     # Alice-Bob pairs per sign on (alice, mem_b): Bob stores, then dephases.
     ab = np.stack([hl_ab.rho_plus.matrix, hl_ab.rho_minus.matrix])
-    ab = _on_second(depolarizing(cfg.store_depol_bob).kraus, _on_second([cfg.r_bob], ab))
-    ab = np.stack([_on_second(dephasing_from_factor(lam).kraus, ab) for lam in (0.0, 1.0)])
+    ab = _on_second([STORAGE_FRAMES[frame_bob]], ab)
+    ab = _pauli_on_second(depolarizing_weights(store_depol_bob), ab)
+    ab = _pauli_on_second(_DEPHASING_ENDS[:, None], ab)
     bc = np.stack([hl_bc.rho_plus.matrix, hl_bc.rho_minus.matrix])  # (comm_b, comm_c)
     true = _bell_outcomes(ab[:, :, None], bc)  # lambda, sign ab, sign bc, outcome
-    assigned = np.einsum("jk,lstkab->lstjab", cfg.bob_bsm.confusion_matrix, true)
-    fix = _SWAP_FIX[cfg.frame_bob]
+    assigned = np.einsum("jk,lstkab->lstjab", bob_bsm.confusion_matrix, true)
+    fix = _SWAP_FIX[frame_bob]
     corrected = fix @ assigned @ fix.conj().swapaxes(-1, -2)
     p_ab = np.array([hl_ab.p_plus, hl_ab.p_minus]) / hl_ab.p_success
     p_bc = np.array([hl_bc.p_plus, hl_bc.p_minus]) / hl_bc.p_success
-    weights = np.einsum("s,t,k->stk", p_ab, p_bc, cfg.bob_bsm.accepted)
+    weights = np.einsum("s,t,k->stk", p_ab, p_bc, bob_bsm.accepted)
     return np.einsum("stk,lstkab->lab", weights, corrected)
 
 
@@ -578,12 +619,14 @@ class Teleporter:
     bob_weight: float
 
 
-def _prepare_teleporter(cfg: ProtocolConfig) -> Teleporter:
-    qa = _q_averages(cfg)
-    swapped = _bob_stage(cfg)
-    # Charlie stores his half on (alice, mem_c) in his storage frame.
-    stored = _on_second(
-        depolarizing(cfg.store_depol_charlie).kraus, _on_second([cfg.r_charlie], swapped)
+def _prepare_teleporter(
+    qa: _QAverages, swapped: np.ndarray, store_depol_charlie: float, frame_charlie: str
+) -> Teleporter:
+    """The teleporter from its attempt averages and Bob's stage, once Charlie
+    has stored his half on (alice, mem_c) in his storage frame."""
+    r_charlie = STORAGE_FRAMES[frame_charlie]
+    stored = _pauli_on_second(
+        depolarizing_weights(store_depol_charlie), _on_second([r_charlie], swapped)
     )
     _check_states(stored, "stored Alice-Charlie pair")
     if not np.allclose(
@@ -598,8 +641,7 @@ def _prepare_teleporter(cfg: ProtocolConfig) -> Teleporter:
     # later measurement noise belong to the teleported state's own budget.
     swap = swapped[0] + qa.dephasing * (swapped[1] - swapped[0])
     tele = stored[0] + qa.dephasing * (stored[1] - stored[0])
-    phi_vec = np.array([1, 0, 0, 1], dtype=complex) / math.sqrt(2.0)
-    tele_vec = np.kron(np.eye(2), cfg.r_charlie) @ phi_vec
+    phi_vec, tele_vec = _PHI_PLUS, _STORED_TARGETS[frame_charlie]
     bob_weight = float(np.trace(swap).real)
     return Teleporter(
         averages=qa,
@@ -611,6 +653,45 @@ def _prepare_teleporter(cfg: ProtocolConfig) -> Teleporter:
         ),
         bob_weight=bob_weight,
     )
+
+
+def _stage_inputs(cfg: ProtocolConfig) -> tuple[tuple, tuple, tuple]:
+    """What each teleporter stage reads of a configuration, in argument order:
+    the attempt averages, Bob's stage, and Charlie's storage (after the first
+    two stages).  Charlie's measurement, Alice's ionization, input
+    preparation and the first link's attempt cap act later."""
+    return (
+        (cfg.link_bc, cfg.timeout, cfg.memory_fit, cfg.alice_eigen_fit, cfg.alice_super_fit,
+         cfg.attempt_period_s, cfg.alice_total_overhead_s),
+        (cfg.link_ab, cfg.link_bc, cfg.bob_bsm, cfg.store_depol_bob, cfg.frame_bob),
+        (cfg.store_depol_charlie, cfg.frame_charlie),
+    )
+
+
+def prepare_teleporters(cfgs: list[ProtocolConfig]) -> list[Teleporter]:
+    """The teleporter of each configuration, every distinct stage built once.
+
+    Configurations share a stage when every input it reads is the same
+    object in both, as in configurations ``replace``d from one another;
+    equal but separate objects build it again.
+    """
+    built: tuple[list, list, list] = ([], [], [])  # (inputs, stage) per stage
+
+    def stage(k: int, build, inputs: tuple):
+        for key, value in built[k]:
+            if all(a is b for a, b in zip(key, inputs)):
+                return value
+        value = build(*inputs)
+        built[k].append((inputs, value))
+        return value
+
+    out = []
+    for cfg in cfgs:
+        q_in, bob_in, charlie_in = _stage_inputs(cfg)
+        qa = stage(0, _q_averages, q_in)
+        swapped = stage(1, _bob_stage, bob_in)
+        out.append(stage(2, _prepare_teleporter, (qa, swapped, *charlie_in)))
+    return out
 
 
 @dataclass(frozen=True)
@@ -652,7 +733,6 @@ def _input_state(cfg: ProtocolConfig, which) -> tuple[QuantumState, np.ndarray]:
 
 _CARDINALS = tuple(CARDINAL_STATES)
 _CARDINAL_TARGETS = _constant(np.stack(list(CARDINAL_STATES.values())))
-_PAULI_STACK = _constant(np.stack(PAULIS))
 
 
 def _cardinal_inputs(cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
@@ -661,7 +741,9 @@ def _cardinal_inputs(cfg: ProtocolConfig) -> tuple[np.ndarray, np.ndarray]:
     return inputs, _CARDINAL_TARGETS
 
 
-def _alice_states(cfg: ProtocolConfig, inputs: np.ndarray, correct: bool = True) -> np.ndarray:
+def _alice_states(
+    cfg: ProtocolConfig, inputs: np.ndarray, correct: bool = True, tp: Teleporter | None = None
+) -> np.ndarray:
     """Alice's unnormalized state per input and assigned Charlie outcome.
 
     ``inputs`` is a (n, 2, 2) stack of input density matrices; the result,
@@ -670,9 +752,10 @@ def _alice_states(cfg: ProtocolConfig, inputs: np.ndarray, correct: bool = True)
     confusion, Alice's correction (skipped when ``correct`` is off), her
     decoupling noise averaged over the attempt count jointly with Bob's
     memory dephasing, and ionization.  Charlie's acceptance policy is the
-    caller's.  The stack is checked once, as a whole.
+    caller's.  The stack is checked once, as a whole.  ``tp`` is
+    ``cfg.teleporter`` unless given.
     """
-    tp = cfg.teleporter
+    tp = cfg.teleporter if tp is None else tp
     true = _bell_outcomes(tp.stored, inputs[:, None])  # input, lambda, outcome
     states = np.einsum("jk,nlkab->nljab", cfg.charlie_bsm.confusion_matrix, true)
     if correct:
@@ -704,12 +787,11 @@ def _weights_and_fidelities(alice: np.ndarray, targets: np.ndarray) -> tuple[np.
     return weight, np.divide(overlap, weight, out=np.zeros_like(weight), where=weight > 0.0)
 
 
-def _analytic_results(
-    cfg: ProtocolConfig, inputs: np.ndarray, targets: np.ndarray
-) -> list[AnalyticResult]:
-    """One ``AnalyticResult`` per row of the (n, 2, 2) input stack."""
-    tp = cfg.teleporter
-    alice = _alice_states(cfg, inputs)
+def _teleported(cfg: ProtocolConfig, tp: Teleporter, inputs: np.ndarray, targets: np.ndarray):
+    """Per input of the (n, 2, 2) stack: the per-outcome weights and
+    fidelities, the outcomes Charlie keeps, their total weight and the
+    teleported state."""
+    alice = _alice_states(cfg, inputs, tp=tp)
     weight, fid = _weights_and_fidelities(alice, targets)
     keep = cfg.charlie_bsm.accepted & (weight > 0.0)
     total = np.where(keep, weight, 0.0).sum(axis=1)
@@ -717,6 +799,15 @@ def _analytic_results(
         raise ProtocolError("no Bell outcome Charlie accepts has any weight")
     rho = np.where(keep[..., None, None], alice, 0.0).sum(axis=1) / total[:, None, None]
     _check_states(rho, "teleported state")
+    return weight, fid, keep, total, rho
+
+
+def _analytic_results(
+    cfg: ProtocolConfig, inputs: np.ndarray, targets: np.ndarray
+) -> list[AnalyticResult]:
+    """One ``AnalyticResult`` per row of the (n, 2, 2) input stack."""
+    tp = cfg.teleporter
+    weight, fid, keep, total, rho = _teleported(cfg, tp, inputs, targets)
     fidelity = _overlaps(rho, targets)
     accept = (
         tp.averages.p_success
@@ -771,8 +862,13 @@ def six_state_fidelities(cfg: ProtocolConfig) -> dict[str, float]:
     return {w: r.fidelity for w, r in six_state_results(cfg).items()}
 
 
-def average_fidelity(cfg: ProtocolConfig) -> float:
-    return float(np.mean(list(six_state_fidelities(cfg).values())))
+def average_fidelity(cfg: ProtocolConfig, teleporter: Teleporter | None = None) -> float:
+    """Six-state average fidelity; ``teleporter`` is ``cfg.teleporter`` unless
+    given (``prepare_teleporters`` builds several at once)."""
+    tp = cfg.teleporter if teleporter is None else teleporter
+    inputs, targets = _cardinal_inputs(cfg)
+    rho = _teleported(cfg, tp, inputs, targets)[-1]
+    return float(np.mean(_overlaps(rho, targets)))
 
 
 def teleporter_fidelity(cfg: ProtocolConfig) -> float:

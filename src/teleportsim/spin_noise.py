@@ -53,11 +53,17 @@ class DecayFit:
             return np.exp(-((x / self.scale) ** self.stretch))
 
 
-def dephasing_from_factor(lam: float) -> Channel:
-    """Pure dephasing channel whose coherence survives with factor lam."""
+def dephasing_weights(lam: float) -> np.ndarray:
+    """Pauli weights (I, X, Y, Z) of pure dephasing with coherence factor lam."""
     if not -1.0 <= lam <= 1.0:
         raise SpinNoiseError(f"coherence factor {lam} outside [-1, 1]")
-    return pauli_channel(0.0, 0.0, 0.5 * (1.0 - lam))
+    p_z = 0.5 * (1.0 - lam)
+    return np.array([1.0 - p_z, 0.0, 0.0, p_z])
+
+
+def dephasing_from_factor(lam: float) -> Channel:
+    """Pure dephasing channel whose coherence survives with factor lam."""
+    return pauli_channel(*dephasing_weights(lam)[1:])
 
 
 def memory_dephasing_channel(n_attempts: float, fit: DecayFit) -> Channel:
@@ -78,11 +84,17 @@ def storage_event_channel(fit: DecayFit) -> Channel:
     return depolarizing(1.0 - fit.amplitude)
 
 
-def depolarizing(p: float) -> Channel:
-    """Replace the state by the maximally mixed state with probability p."""
+def depolarizing_weights(p: float) -> np.ndarray:
+    """Pauli weights (I, X, Y, Z) of ``depolarizing(p)``."""
     if not 0.0 <= p <= 1.0:
         raise SpinNoiseError(f"depolarizing probability {p} outside [0, 1]")
-    return pauli_channel(p / 4.0, p / 4.0, p / 4.0)
+    q = p / 4.0
+    return np.array([1.0 - q - q - q, q, q, q])
+
+
+def depolarizing(p: float) -> Channel:
+    """Replace the state by the maximally mixed state with probability p."""
+    return pauli_channel(*depolarizing_weights(p)[1:])
 
 
 def ionization_event(p_ion: float, rng: np.random.Generator) -> bool:

@@ -494,6 +494,40 @@ def test_cli_rates_windows_not_numbers(tmp_path, capsys):
     assert "--windows" in _one_error_line(capsys.readouterr())
 
 
+def test_cli_parser_reuse_leaks_nothing(tmp_path, capsys):
+    # In one process ``cli.main`` reuses its parser.  Each call of a sequence
+    # (an option, then the same command without it; a bad argv in between)
+    # writes the same bytes and prints the same text as with a fresh parser.
+    mc, cond = str(SCENARIOS / "monte-carlo.cfg"), str(SCENARIOS / "experiment-conditional.cfg")
+    calls = [
+        ["run", mc, "--seed", "5", "--shots", "30"],
+        ["run", mc, "--shots", "30"],
+        ["budget", cond, "--link", "AB"],
+        ["budget", cond, "--link", "XY"],
+        ["budget", cond, "--link", "teleport"],
+    ]
+
+    def outputs(out: Path, fresh: bool) -> list:
+        got = []
+        for k, argv in enumerate(calls):
+            if fresh:
+                cli._parser.cache_clear()
+            try:
+                rc = cli.main([*argv, "--out", str(out / str(k))])
+            except SystemExit as exc:
+                rc = exc.code
+            text = capsys.readouterr()
+            files = {p.name: p.read_bytes() for p in sorted((out / str(k)).glob("*"))}
+            got.append((rc, text.out.replace(str(out), "<out>"), text.err, files))
+        return got
+
+    reused, fresh = outputs(tmp_path / "reused", False), outputs(tmp_path / "fresh", True)
+    assert [rc for rc, *_ in reused] == [0, 0, 0, 2, 0]
+    assert reused == fresh
+    # The seed option of the first run changed what it wrote.
+    assert reused[0][3]["monte-carlo.summary.json"] != reused[1][3]["monte-carlo.summary.json"]
+
+
 def test_one_teleporter_per_config(tmp_path, capsys, monkeypatch):
     # Every output of a run reads one prepared teleporter; a ladder prepares
     # one per step, a rate sweep one per window, and a teleport budget one
@@ -501,9 +535,9 @@ def test_one_teleporter_per_config(tmp_path, capsys, monkeypatch):
     calls = []
     prepare = protocol._prepare_teleporter
 
-    def counting(cfg):
-        calls.append(cfg)
-        return prepare(cfg)
+    def counting(*args):
+        calls.append(args)
+        return prepare(*args)
 
     monkeypatch.setattr(protocol, "_prepare_teleporter", counting)
     cfg = str(SCENARIOS / "experiment-conditional.cfg")
@@ -512,6 +546,28 @@ def test_one_teleporter_per_config(tmp_path, capsys, monkeypatch):
         calls.clear()
         assert cli.main([argv[0], cfg, *argv[1:], "--out", str(tmp_path)]) == 0
         assert len(calls) == count, argv
+    capsys.readouterr()
+
+
+def test_teleporter_stages_built_once_each(tmp_path, capsys, monkeypatch):
+    # A run builds one attempt average and one Bob stage.  A teleport budget
+    # builds four of each: the links-only ones, the scenario's own, and one
+    # per row that restores an input of that stage (Alice's decoupling and
+    # Bob's memory dephasing; Bob's storage and his readout).
+    calls = {"_q_averages": 0, "_bob_stage": 0}
+    for name in calls:
+        build = getattr(protocol, name)
+
+        def counting(*args, name=name, build=build):
+            calls[name] += 1
+            return build(*args)
+
+        monkeypatch.setattr(protocol, name, counting)
+    cfg = str(SCENARIOS / "experiment-conditional.cfg")
+    for argv, count in ((["run", cfg], 1), (["budget", cfg, "--link", "teleport"], 4)):
+        calls.update(dict.fromkeys(calls, 0))
+        assert cli.main([*argv, "--out", str(tmp_path)]) == 0
+        assert calls == dict.fromkeys(calls, count), argv
     capsys.readouterr()
 
 

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from teleportsim import hilbert as hb
 from teleportsim import protocol as pt
+from teleportsim.spin_noise import SpinNoiseError
 
 from .oracles.analytic_states import StateOracle
 
@@ -245,10 +246,11 @@ def _same_teleporter(a, b) -> bool:
     )
 
 
-def test_teleporter_fields():
-    # A field outside ``TELEPORTER_FIELDS`` leaves the prepared teleporter
-    # bit-identical, so ``replace_config`` may share it; one inside it
-    # prepares a new one.
+def test_teleporter_stage_inputs():
+    # Every field the teleporter reads is an input of one of its stages: a
+    # field outside them leaves the prepared teleporter bit-identical, and
+    # configurations that differ only there share all three stages.  One
+    # inside them builds a new stage.
     cfg = pt.make_config("conditional", timeout=300)
     outside = {
         "charlie_bsm": replace(cfg.charlie_bsm, comm_fidelities=(0.9, 0.8), policy="all"),
@@ -257,14 +259,41 @@ def test_teleporter_fields():
         "prep_pulse_error": 0.07,
         "ab_cap": 17,
     }
-    assert {f.name for f in fields(pt.ProtocolConfig)} - pt.TELEPORTER_FIELDS == outside.keys()
+    read = set()
+
+    class Reading:
+        def __getattr__(self, name):
+            read.add(name)
+            return getattr(cfg, name)
+
+    pt._stage_inputs(Reading())
+    assert {f.name for f in fields(pt.ProtocolConfig)} - read == outside.keys()
     for name, value in outside.items():
-        fresh = replace(cfg, **{name: value}).teleporter
+        variant = replace(cfg, **{name: value})
+        fresh = variant.teleporter
         assert fresh is not cfg.teleporter and _same_teleporter(fresh, cfg.teleporter), name
-        assert pt.replace_config(cfg, **{name: value}).teleporter is cfg.teleporter
-    changed = pt.replace_config(cfg, ionization_alice=0.2, timeout=301)
-    assert changed.teleporter is not cfg.teleporter
-    assert not _same_teleporter(changed.teleporter, cfg.teleporter)
+        shared, again = pt.prepare_teleporters([cfg, variant])
+        assert again is shared, name
+    changed = replace(cfg, ionization_alice=0.2, timeout=301)
+    tp, other = pt.prepare_teleporters([cfg, changed])
+    assert other.swapped is tp.swapped and other.averages is not tp.averages
+    assert not _same_teleporter(other, tp)
+
+
+@pytest.mark.parametrize("field, p", [("store_depol_bob", 1.5), ("store_depol_charlie", -0.1)])
+def test_storage_noise_out_of_range_rejected(field, p):
+    # The analytic path applies storage noise as Pauli weights and the shot
+    # path as a channel; both refuse a probability outside [0, 1] with the
+    # channel's message.  A shot fails once it reaches that node's storage.
+    cfg = pt.make_config("conditional", timeout=300, **{field: p})
+    message = rf"depolarizing probability {p} outside \[0, 1\]"
+    with pytest.raises(SpinNoiseError, match=message):
+        pt.six_state_results(cfg)
+    rng = np.random.default_rng(7)
+    earlier = ("ab_cap", "bc_timeout") + (("bob_bsm",) if field == "store_depol_charlie" else ())
+    with pytest.raises(SpinNoiseError, match=message):
+        for _ in range(10_000):
+            assert pt.run_teleportation_shot(cfg, "+x", rng).aborted in earlier
 
 
 def test_config_collectable_after_analytic_run():
